@@ -5,8 +5,8 @@
 //! heap after warm-up.
 //!
 //! Everything a round needs is preallocated: per-lane workspaces and
-//! forward tensors ([`LaneScratch`] inside `LaneSlots`), the SoA
-//! monitor arrays, the per-session slots, and the simulator's outcome
+//! forward tensors ([`LaneScratch`] inside `LaneSlots`), the
+//! per-session monitor records and rings, the per-session slots, and the simulator's outcome
 //! scratch. `auto_reset` session rollover is exercised too — a rolling
 //! fleet is the steady state this engine exists for.
 //!

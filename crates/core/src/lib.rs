@@ -12,7 +12,9 @@
 //!   distance-to-mean); inference is one grouped GEMM per layer across
 //!   all replicas (`osa_nn::stacked`), never five sequential forwards;
 //! - [`monitor`] — k-window variance smoothing and
-//!   l-consecutive-exceedance thresholding (§2.5);
+//!   l-consecutive-exceedance thresholding (§2.5): one state machine,
+//!   failing closed on non-finite variances, of which the scalar
+//!   [`Monitor`] is a fleet of one;
 //! - [`calibrate`] — (α, l) calibration against in-distribution traces;
 //! - [`safe_agent`] — the [`SafeAgent`] wrapper: learned policy while
 //!   quiet, Buffer-Based once tripped, sticky by default with opt-in
@@ -22,7 +24,7 @@
 //!   normalized 0 = Random / 1 = BB scoring (§3.3) shared by every
 //!   figure binary;
 //! - [`serve`] — the fleet-scale serving engine: 100k+ concurrent
-//!   sessions with struct-of-arrays monitor state, sharded across
+//!   sessions with per-session monitor records, sharded across
 //!   `osa-runtime` lanes, decided by session-major batched stacked
 //!   forwards.
 //!

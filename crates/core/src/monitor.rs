@@ -9,34 +9,61 @@
 //! SafeAgent defaults to the safe policy for the rest of the session
 //! (no reverse switching). That sticky behavior is the default here.
 //!
+//! # One state machine
+//!
+//! [`FleetMonitors`] holds one variance ring and one small state record
+//! per session, and [`FleetMonitors::update`] is the only place a
+//! window variance is compared against α. The fleet engine
+//! ([`crate::serve`]) keeps one entry per session; a scalar [`Monitor`]
+//! is a fleet of one, so the per-stream `SafeAgent` and the fleet share
+//! every bit of the trip, recovery and lock logic.
+//!
+//! # Fail closed
+//!
+//! A window counts as *quiet* only when `variance <= α` holds, and as
+//! an exceedance otherwise — so a NaN variance (a NaN raw value, or
+//! `±∞` under the unanchored sample-mean variance, where `∞ − ∞` is
+//! NaN) is an exceedance. A stream of non-finite values trips
+//! after l decisions like any sustained shift, and while on the fallback
+//! a non-finite window resets the quiet streak, so it can never count
+//! toward recovery. The monitor never vouches for inputs it cannot
+//! measure. Finite streams are unaffected: for them the test is the
+//! plain `variance > α`.
+//!
 //! # Reverse switching
 //!
 //! The Neural Simplex line of work treats the opposite transition as a
 //! first-class event: once the uncertainty signal goes quiet again,
-//! control can be handed *back* to the learned policy. A [`Monitor`]
+//! control can be handed *back* to the learned policy. A monitor
 //! built with a [`ReverseConfig`] keeps folding raw values into its ring
 //! while on the fallback and recovers after `quiet_windows` consecutive
 //! in-threshold variances (`variance ≤ α`). Oscillation is damped two
 //! ways: the quiet streak resets to zero at every trip (so recovery can
 //! never happen fewer than `quiet_windows` decisions after a trip), and
 //! a re-trip within `retrip_guard` decisions of a recovery *locks* the
-//! monitor onto the fallback for the rest of the session — a signal that
-//! goes loud right after it went quiet has proven its quiet spells are
-//! not trustworthy.
+//! session onto the fallback until its next reset — a signal that goes
+//! loud right after it went quiet has proven its quiet spells are not
+//! trustworthy.
 //!
 //! Determinism: the variance is summed in chronological order over the
 //! ring, so a monitor's state is a pure function of the raw value
 //! sequence — bit-identical at any pool width by construction.
 
+use crate::serve::ServeConfig;
+
 /// Default window length k for the signal variance.
 pub const DEFAULT_K: usize = 5;
+
+/// Sentinel for "no decision index recorded yet" (`u32` indices keep
+/// the per-session records compact).
+const NO_INDEX: u32 = u32::MAX;
 
 /// Hysteresis parameters for reverse switching (off by default).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReverseConfig {
     /// Consecutive in-threshold (`variance ≤ α`) decisions required
     /// while on the fallback before control returns to the learned
-    /// policy. Must be ≥ 1.
+    /// policy. Must be ≥ 1 (checked when a monitor is built with it).
     pub quiet_windows: usize,
     /// A re-trip at most this many decisions after a recovery locks the
     /// monitor onto the fallback permanently (until `reset`). 0 still
@@ -45,8 +72,7 @@ pub struct ReverseConfig {
 }
 
 impl ReverseConfig {
-    pub fn new(quiet_windows: usize, retrip_guard: usize) -> ReverseConfig {
-        assert!(quiet_windows >= 1, "quiet_windows m must be >= 1");
+    pub const fn new(quiet_windows: usize, retrip_guard: usize) -> ReverseConfig {
         ReverseConfig {
             quiet_windows,
             retrip_guard,
@@ -54,10 +80,10 @@ impl ReverseConfig {
     }
 }
 
-/// Rolling variance of the last k raw values plus the l-consecutive
-/// trip counter and (optionally) the reverse-switching state machine.
-#[derive(Clone, Debug)]
-pub struct Monitor {
+/// The (k, α, l) rule plus anchor and reverse policy every session of
+/// a [`FleetMonitors`] shares.
+#[derive(Clone, Copy, Debug)]
+struct Params {
     k: usize,
     alpha: f32,
     l: usize,
@@ -70,70 +96,331 @@ pub struct Monitor {
     /// window reads `(v − μ₀)²`.
     anchor: Option<f32>,
     reverse: Option<ReverseConfig>,
-    ring: Vec<f32>,
-    len: usize,
-    pos: usize,
-    consecutive: usize,
-    /// Consecutive in-threshold decisions while on the fallback.
-    quiet: usize,
+}
+
+impl Params {
+    /// The one validation site for monitor configuration. Panics if
+    /// `k == 0`, `l == 0` or `reverse.quiet_windows == 0`.
+    fn new(
+        k: usize,
+        alpha: f32,
+        l: usize,
+        anchor: Option<f32>,
+        reverse: Option<ReverseConfig>,
+    ) -> Params {
+        assert!(k >= 1, "variance window k must be >= 1");
+        assert!(l >= 1, "consecutive exceedances l must be >= 1");
+        if let Some(r) = reverse {
+            assert!(r.quiet_windows >= 1, "quiet_windows m must be >= 1");
+        }
+        Params {
+            k,
+            alpha,
+            l,
+            anchor,
+            reverse,
+        }
+    }
+
+    fn reverse_enabled(&self, locked: bool) -> bool {
+        self.reverse.is_some() && !locked
+    }
+}
+
+/// One session's rolling state and lifetime counters.
+#[derive(Clone, Copy, Debug)]
+struct Session {
+    /// Filled ring slots (saturates at k) and the next write position.
+    len: u32,
+    pos: u32,
+    /// Consecutive loud windows while on the learned policy.
+    consecutive: u32,
+    /// Consecutive quiet windows while on the fallback.
+    quiet: u32,
     on_fallback: bool,
     locked: bool,
-    tripped_at: Option<usize>,
-    last_trip: Option<usize>,
-    last_recovery: Option<usize>,
-    switches: usize,
-    recoveries: usize,
-    decisions: usize,
+    tripped_at: u32,
+    last_trip: u32,
+    last_recovery: u32,
+    switches: u32,
+    recoveries: u32,
+    decisions: u32,
     variance: f32,
 }
+
+impl Session {
+    const FRESH: Session = Session {
+        len: 0,
+        pos: 0,
+        consecutive: 0,
+        quiet: 0,
+        on_fallback: false,
+        locked: false,
+        tripped_at: NO_INDEX,
+        last_trip: NO_INDEX,
+        last_recovery: NO_INDEX,
+        switches: 0,
+        recoveries: 0,
+        decisions: 0,
+        variance: 0.0,
+    };
+}
+
+/// The monitor state machine for `n` sessions: one k-slot variance ring
+/// and one state record per session under a shared (k, α, l) rule.
+#[derive(Clone, Debug)]
+pub struct FleetMonitors {
+    params: Params,
+    /// `n × k` variance rings.
+    ring: Vec<f32>,
+    sessions: Vec<Session>,
+}
+
+impl FleetMonitors {
+    /// `n` fresh sessions under `cfg`'s (k, α, l), anchor and reverse
+    /// policy. Panics on an invalid configuration (see [`Monitor::new`]).
+    pub fn new(n: usize, cfg: &ServeConfig) -> FleetMonitors {
+        let params = Params::new(cfg.k, cfg.alpha, cfg.l, cfg.anchor, cfg.reverse);
+        FleetMonitors::with_params(n, params)
+    }
+
+    fn with_params(n: usize, params: Params) -> FleetMonitors {
+        FleetMonitors {
+            params,
+            ring: vec![0.0; n * params.k],
+            sessions: vec![Session::FRESH; n],
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.sessions.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn alpha(&self) -> f32 {
+        self.params.alpha
+    }
+
+    /// True while session `i`'s next raw value is still consumed: not
+    /// on the fallback, or on it with a live chance of recovering. A
+    /// sticky (or locked) fallback never observes again.
+    pub fn observing(&self, i: usize) -> bool {
+        let s = &self.sessions[i];
+        !s.on_fallback || self.params.reverse_enabled(s.locked)
+    }
+
+    /// Feed session `i` one raw signal value; returns its tripped state
+    /// after this decision. Exceedances only count once the window is
+    /// full.
+    ///
+    /// Without reverse switching a tripped session ignores `raw`
+    /// entirely (the ring freezes at the trip); with it the ring keeps
+    /// rolling so the quiet streak can be measured.
+    pub fn update(&mut self, i: usize, raw: f32) -> bool {
+        let p = self.params;
+        let s = &mut self.sessions[i];
+        let index = s.decisions;
+        s.decisions += 1;
+        if s.on_fallback && !p.reverse_enabled(s.locked) {
+            return true;
+        }
+        let k = p.k;
+        let ring = &mut self.ring[i * k..(i + 1) * k];
+        ring[s.pos as usize] = raw;
+        let pos = (s.pos as usize + 1) % k;
+        s.pos = pos as u32;
+        if (s.len as usize) < k {
+            s.len += 1;
+        }
+        if (s.len as usize) < k {
+            return s.on_fallback;
+        }
+        s.variance = window_variance(ring, pos, p.anchor);
+        // Fail closed: a window is quiet only if its variance is
+        // provably within α — a NaN variance compares false, so it
+        // counts as loud.
+        let quiet = s.variance <= p.alpha;
+        if s.on_fallback {
+            if quiet {
+                s.quiet += 1;
+                let m = p.reverse.expect("on-fallback update implies reverse");
+                if s.quiet as usize >= m.quiet_windows {
+                    s.on_fallback = false;
+                    s.recoveries += 1;
+                    s.last_recovery = index;
+                    s.quiet = 0;
+                    s.consecutive = 0;
+                }
+            } else {
+                s.quiet = 0;
+            }
+        } else if quiet {
+            s.consecutive = 0;
+        } else {
+            s.consecutive += 1;
+            if s.consecutive as usize >= p.l {
+                // Trip, arming the re-trip lock when this lands inside
+                // the guard window of a recovery.
+                s.on_fallback = true;
+                s.switches += 1;
+                if s.tripped_at == NO_INDEX {
+                    s.tripped_at = index;
+                }
+                s.last_trip = index;
+                s.consecutive = 0;
+                s.quiet = 0;
+                if let Some(rev) = p.reverse {
+                    if s.last_recovery != NO_INDEX
+                        && (index - s.last_recovery) as usize <= rev.retrip_guard
+                    {
+                        s.locked = true;
+                    }
+                }
+            }
+        }
+        s.on_fallback
+    }
+
+    /// Session boundary (auto-reset rollover): forget session `i`'s
+    /// rolling state and trip/recovery *indices*, keep its lifetime
+    /// switch/recovery/decision counters — the same split
+    /// `MultiSession` makes between per-video state and lifetime
+    /// accounting.
+    pub fn reset_session(&mut self, i: usize) {
+        let k = self.params.k;
+        self.ring[i * k..(i + 1) * k].fill(0.0);
+        let s = &mut self.sessions[i];
+        *s = Session {
+            switches: s.switches,
+            recoveries: s.recoveries,
+            decisions: s.decisions,
+            ..Session::FRESH
+        };
+    }
+
+    pub fn tripped(&self, i: usize) -> bool {
+        self.sessions[i].on_fallback
+    }
+
+    /// Re-trip lock engaged: session `i` re-tripped within the guard
+    /// window of a recovery and now behaves like a sticky monitor.
+    pub fn locked(&self, i: usize) -> bool {
+        self.sessions[i].locked
+    }
+
+    /// Decision index (0-based, counted over the session's lifetime) of
+    /// session `i`'s first trip since its last reset.
+    pub fn tripped_at(&self, i: usize) -> Option<usize> {
+        index_opt(self.sessions[i].tripped_at)
+    }
+
+    /// Decision index of session `i`'s most recent trip.
+    pub fn last_trip(&self, i: usize) -> Option<usize> {
+        index_opt(self.sessions[i].last_trip)
+    }
+
+    /// Decision index of session `i`'s most recent recovery.
+    pub fn last_recovery(&self, i: usize) -> Option<usize> {
+        index_opt(self.sessions[i].last_recovery)
+    }
+
+    /// Learned→fallback switches (1 at most per reset without reverse).
+    pub fn switches(&self, i: usize) -> usize {
+        self.sessions[i].switches as usize
+    }
+
+    /// Fallback→learned recoveries (always 0 without reverse).
+    pub fn recoveries(&self, i: usize) -> usize {
+        self.sessions[i].recoveries as usize
+    }
+
+    /// Updates consumed so far.
+    pub fn decisions(&self, i: usize) -> usize {
+        self.sessions[i].decisions as usize
+    }
+
+    /// The smoothed value compared against α at session `i`'s last
+    /// update (0 until the window fills).
+    pub fn variance(&self, i: usize) -> f32 {
+        self.sessions[i].variance
+    }
+}
+
+/// Variance of a full ring about `anchor` (or the window's own sample
+/// mean when unanchored), summed oldest-first from `pos` so the ring
+/// phase never changes the bits.
+fn window_variance(ring: &[f32], pos: usize, anchor: Option<f32>) -> f32 {
+    let k = ring.len();
+    let n = k as f32;
+    let mean = match anchor {
+        Some(mu) => mu,
+        None => {
+            let mut sum = 0.0f32;
+            for j in 0..k {
+                sum += ring[(pos + j) % k];
+            }
+            sum / n
+        }
+    };
+    let mut var = 0.0f32;
+    for j in 0..k {
+        let d = ring[(pos + j) % k] - mean;
+        var += d * d;
+    }
+    var / n
+}
+
+fn index_opt(v: u32) -> Option<usize> {
+    if v == NO_INDEX {
+        None
+    } else {
+        Some(v as usize)
+    }
+}
+
+/// One stream's monitor: a [`FleetMonitors`] of one session. Unlike a
+/// fleet session's rollover, [`Monitor::reset`] also zeroes the
+/// lifetime counters — a scalar monitor's counters describe one
+/// session.
+#[derive(Clone, Debug)]
+pub struct Monitor(FleetMonitors);
 
 impl Monitor {
     /// Sticky monitor (the paper's behavior: no reverse switching).
     /// Panics if `k == 0` or `l == 0`.
     pub fn new(k: usize, alpha: f32, l: usize) -> Monitor {
-        assert!(k >= 1, "variance window k must be >= 1");
-        assert!(l >= 1, "consecutive exceedances l must be >= 1");
-        Monitor {
-            k,
-            alpha,
-            l,
-            anchor: None,
-            reverse: None,
-            ring: vec![0.0; k],
-            len: 0,
-            pos: 0,
-            consecutive: 0,
-            quiet: 0,
-            on_fallback: false,
-            locked: false,
-            tripped_at: None,
-            last_trip: None,
-            last_recovery: None,
-            switches: 0,
-            recoveries: 0,
-            decisions: 0,
-            variance: 0.0,
-        }
+        Monitor(FleetMonitors::with_params(
+            1,
+            Params::new(k, alpha, l, None, None),
+        ))
     }
 
-    /// Monitor with hysteresis-based reverse switching enabled.
+    /// Monitor with hysteresis-based reverse switching enabled. Panics
+    /// additionally if `reverse.quiet_windows == 0`.
     pub fn with_reverse(k: usize, alpha: f32, l: usize, reverse: ReverseConfig) -> Monitor {
-        assert!(reverse.quiet_windows >= 1, "quiet_windows m must be >= 1");
-        let mut m = Monitor::new(k, alpha, l);
-        m.reverse = Some(reverse);
-        m
+        Monitor(FleetMonitors::with_params(
+            1,
+            Params::new(k, alpha, l, None, Some(reverse)),
+        ))
+    }
+
+    fn params(&self) -> &Params {
+        &self.0.params
     }
 
     /// Replace the threshold (used once by calibration). Resets all
     /// rolling state: a threshold chosen *after* watching a stretch of
     /// traffic must not inherit that stretch's exceedance streak.
     pub fn set_alpha(&mut self, alpha: f32) {
-        self.alpha = alpha;
+        self.0.params.alpha = alpha;
         self.reset();
     }
 
     pub fn alpha(&self) -> f32 {
-        self.alpha
+        self.params().alpha
     }
 
     /// Anchor the variance at the calibrated in-distribution level
@@ -141,206 +428,109 @@ impl Monitor {
     /// Resets all rolling state — ring contents measured under the old
     /// anchor are meaningless under the new one.
     pub fn set_anchor(&mut self, anchor: Option<f32>) {
-        self.anchor = anchor;
+        self.0.params.anchor = anchor;
         self.reset();
     }
 
     pub fn anchor(&self) -> Option<f32> {
-        self.anchor
+        self.params().anchor
     }
 
     /// Enable (`Some`) or disable (`None`) reverse switching. Resets
     /// all rolling state, like the other calibration setters.
     pub fn set_reverse(&mut self, reverse: Option<ReverseConfig>) {
-        if let Some(r) = reverse {
-            assert!(r.quiet_windows >= 1, "quiet_windows m must be >= 1");
-        }
-        self.reverse = reverse;
+        let p = *self.params();
+        self.0.params = Params::new(p.k, p.alpha, p.l, p.anchor, reverse);
         self.reset();
     }
 
     pub fn reverse(&self) -> Option<ReverseConfig> {
-        self.reverse
+        self.params().reverse
     }
 
     pub fn k(&self) -> usize {
-        self.k
+        self.params().k
     }
 
     pub fn l(&self) -> usize {
-        self.l
+        self.params().l
     }
 
-    /// Forget all rolling state (session boundary); keeps (k, α, l),
-    /// the anchor, and the reverse configuration.
+    /// Forget all state (session boundary), lifetime counters included;
+    /// keeps (k, α, l), the anchor, and the reverse configuration.
     pub fn reset(&mut self) {
-        self.ring.fill(0.0);
-        self.len = 0;
-        self.pos = 0;
-        self.consecutive = 0;
-        self.quiet = 0;
-        self.on_fallback = false;
-        self.locked = false;
-        self.tripped_at = None;
-        self.last_trip = None;
-        self.last_recovery = None;
-        self.switches = 0;
-        self.recoveries = 0;
-        self.decisions = 0;
-        self.variance = 0.0;
+        self.0.ring.fill(0.0);
+        self.0.sessions[0] = Session::FRESH;
     }
 
     /// Feed one raw signal value; returns the tripped state after this
-    /// decision. Exceedances only count once the window is full.
-    ///
-    /// Without reverse switching a tripped monitor ignores `raw`
-    /// entirely (the ring freezes at the trip); with it the ring keeps
-    /// rolling so the quiet streak can be measured.
+    /// decision (see [`FleetMonitors::update`]).
     pub fn update(&mut self, raw: f32) -> bool {
-        let index = self.decisions;
-        self.decisions += 1;
-        if self.on_fallback && !self.reverse_enabled() {
-            return true;
-        }
-        self.ring[self.pos] = raw;
-        self.pos = (self.pos + 1) % self.k;
-        if self.len < self.k {
-            self.len += 1;
-        }
-        if self.len < self.k {
-            return self.on_fallback;
-        }
-        self.variance = self.window_variance();
-        if self.on_fallback {
-            if self.variance > self.alpha {
-                self.quiet = 0;
-            } else {
-                self.quiet += 1;
-                let m = self.reverse.expect("on_fallback update implies reverse");
-                if self.quiet >= m.quiet_windows {
-                    self.on_fallback = false;
-                    self.recoveries += 1;
-                    self.last_recovery = Some(index);
-                    self.quiet = 0;
-                    self.consecutive = 0;
-                }
-            }
-        } else if self.variance > self.alpha {
-            self.consecutive += 1;
-            if self.consecutive >= self.l {
-                self.trip(index);
-            }
-        } else {
-            self.consecutive = 0;
-        }
-        self.on_fallback
-    }
-
-    /// Switch to the fallback at decision `index`, arming the re-trip
-    /// lock when this trip lands inside the guard window of a recovery.
-    fn trip(&mut self, index: usize) {
-        self.on_fallback = true;
-        self.switches += 1;
-        if self.tripped_at.is_none() {
-            self.tripped_at = Some(index);
-        }
-        self.last_trip = Some(index);
-        self.consecutive = 0;
-        self.quiet = 0;
-        if let (Some(rev), Some(rec)) = (self.reverse, self.last_recovery) {
-            if index - rec <= rev.retrip_guard {
-                self.locked = true;
-            }
-        }
-    }
-
-    fn reverse_enabled(&self) -> bool {
-        self.reverse.is_some() && !self.locked
-    }
-
-    /// Variance of the full ring about the anchor (or the window's own
-    /// sample mean when unanchored), summed oldest-first so the ring
-    /// phase never changes the bits.
-    fn window_variance(&self) -> f32 {
-        let n = self.k as f32;
-        let mean = match self.anchor {
-            Some(mu) => mu,
-            None => {
-                let mut sum = 0.0f32;
-                for i in 0..self.k {
-                    sum += self.ring[(self.pos + i) % self.k];
-                }
-                sum / n
-            }
-        };
-        let mut var = 0.0f32;
-        for i in 0..self.k {
-            let d = self.ring[(self.pos + i) % self.k] - mean;
-            var += d * d;
-        }
-        var / n
+        self.0.update(0, raw)
     }
 
     /// The smoothed value compared against α at the last update (0 until
     /// the window fills).
     pub fn variance(&self) -> f32 {
-        self.variance
+        self.0.variance(0)
     }
 
     /// Currently acting through the fallback. Sticky monitors stay
     /// tripped forever; reverse monitors may clear this on recovery.
     pub fn tripped(&self) -> bool {
-        self.on_fallback
+        self.0.tripped(0)
     }
 
-    /// True while this update's raw value is still being consumed: not
-    /// on the fallback, or on it with a live chance of recovering. A
-    /// sticky (or locked) fallback never observes again.
+    /// True while this update's raw value is still being consumed (see
+    /// [`FleetMonitors::observing`]).
     pub fn observing(&self) -> bool {
-        !self.on_fallback || self.reverse_enabled()
+        self.0.observing(0)
     }
 
     /// Decision index (0-based) at which the monitor *first* tripped.
     pub fn tripped_at(&self) -> Option<usize> {
-        self.tripped_at
+        self.0.tripped_at(0)
     }
 
     /// Decision index of the most recent trip (equals
     /// [`Monitor::tripped_at`] unless the monitor recovered in between).
     pub fn last_trip(&self) -> Option<usize> {
-        self.last_trip
+        self.0.last_trip(0)
     }
 
     /// Decision index of the most recent recovery to the learned policy.
     pub fn last_recovery(&self) -> Option<usize> {
-        self.last_recovery
+        self.0.last_recovery(0)
     }
 
     /// Learned→fallback switches so far (1 at most without reverse).
     pub fn switches(&self) -> usize {
-        self.switches
+        self.0.switches(0)
     }
 
     /// Fallback→learned recoveries so far (always 0 without reverse).
     pub fn recoveries(&self) -> usize {
-        self.recoveries
+        self.0.recoveries(0)
     }
 
-    /// Re-trip lock engaged: the monitor re-tripped within the guard
-    /// window of a recovery and now behaves like a sticky monitor.
+    /// Re-trip lock engaged (see [`FleetMonitors::locked`]).
     pub fn locked(&self) -> bool {
-        self.locked
+        self.0.locked(0)
     }
 
     /// Updates consumed so far.
     pub fn decisions(&self) -> usize {
-        self.decisions
+        self.0.decisions(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn consecutive(m: &Monitor) -> usize {
+        m.0.sessions[0].consecutive as usize
+    }
 
     #[test]
     fn trips_only_after_l_consecutive_exceedances() {
@@ -354,13 +544,13 @@ mod tests {
         // One spike → 3 consecutive exceedances while it traverses the
         // window, then calm: the counter must reset without tripping.
         assert!(!m.update(5.0));
-        assert_eq!(m.consecutive, 1);
+        assert_eq!(consecutive(&m), 1);
         for _ in 0..2 {
             assert!(!m.update(1.0));
         }
-        assert_eq!(m.consecutive, 3);
+        assert_eq!(consecutive(&m), 3);
         assert!(!m.update(1.0));
-        assert_eq!(m.consecutive, 0);
+        assert_eq!(consecutive(&m), 0);
         assert!(!m.tripped());
         // Sustained noise keeps the variance up for l = 4 consecutive
         // decisions → trip, and stay tripped.
@@ -409,14 +599,14 @@ mod tests {
         m.update(1.0);
         m.update(5.0);
         m.update(1.0);
-        assert_eq!(m.consecutive, 2);
+        assert_eq!(consecutive(&m), 2);
         m.set_alpha(0.5);
-        assert_eq!(m.consecutive, 0, "set_alpha must reset the streak");
+        assert_eq!(consecutive(&m), 0, "set_alpha must reset the streak");
         assert_eq!(m.decisions(), 0);
         // One post-calibration exceedance is not l consecutive ones.
         m.update(0.0);
         assert!(!m.update(10.0), "stale streak would have tripped here");
-        assert_eq!(m.consecutive, 1);
+        assert_eq!(consecutive(&m), 1);
         // l genuine consecutive exceedances still trip.
         assert!(!m.update(0.0));
         assert!(m.update(10.0));
@@ -514,5 +704,126 @@ mod tests {
         m.update(1234.5);
         assert_eq!(m.variance().to_bits(), frozen.to_bits());
         assert!(!m.observing());
+    }
+
+    /// Every non-finite stream trips after l full windows, sticky and
+    /// reverse alike, under both variance modes.
+    #[test]
+    fn non_finite_streams_fail_closed() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for anchor in [None, Some(0.0)] {
+                for reverse in [None, Some(ReverseConfig::new(3, 0))] {
+                    let mut m = Monitor::new(5, 0.01, 3);
+                    m.set_anchor(anchor);
+                    m.set_reverse(reverse);
+                    let mut trip = None;
+                    for d in 0..16 {
+                        if m.update(bad) && trip.is_none() {
+                            trip = Some(d);
+                        }
+                    }
+                    let label = format!("raw {bad}, anchor {anchor:?}, reverse {reverse:?}");
+                    // Window full at decision 4, third loud window at 6.
+                    assert_eq!(trip, Some(6), "{label}");
+                    assert!(m.tripped(), "{label}: must stay on the fallback");
+                    assert_eq!(m.recoveries(), 0, "{label}");
+                }
+            }
+        }
+    }
+
+    /// A NaN window on the fallback is never quiet: the streak resets,
+    /// and only finite quiet windows count toward recovery.
+    #[test]
+    fn nan_on_the_fallback_never_recovers() {
+        let mut m = Monitor::with_reverse(2, 0.5, 1, ReverseConfig::new(3, 0));
+        m.update(0.0);
+        assert!(m.update(9.0), "finite spike trips");
+        for _ in 0..64 {
+            assert!(m.update(f32::NAN), "NaN must not hand control back");
+        }
+        assert_eq!(m.recoveries(), 0);
+        // Once the NaN has left the window, quiet finite values recover
+        // after the usual m windows.
+        m.update(1.0);
+        m.update(1.0);
+        m.update(1.0);
+        assert!(!m.update(1.0), "quiet finite windows recover");
+        assert_eq!(m.recoveries(), 1);
+    }
+
+    /// One session poisoned with NaN trips; its neighbours keep the
+    /// exact bits of a clean run.
+    #[test]
+    fn poisoned_session_trips_without_touching_its_neighbours() {
+        let cfg = ServeConfig {
+            k: 3,
+            alpha: 0.4,
+            l: 2,
+            reverse: Some(ReverseConfig::new(2, 3)),
+            ..ServeConfig::default()
+        };
+        let (n, poisoned) = (8, 3);
+        let mut clean = FleetMonitors::new(n, &cfg);
+        let mut dirty = FleetMonitors::new(n, &cfg);
+        // One decision for session `i`, and the state it leaves behind.
+        let step = |mon: &mut FleetMonitors, i: usize, raw: f32| {
+            if mon.observing(i) {
+                mon.update(i, raw);
+            }
+            let bits = mon.variance(i).to_bits();
+            (bits, mon.tripped(i), mon.switches(i), mon.recoveries(i))
+        };
+        for d in 0..40 {
+            for i in 0..n {
+                // Bursty per-session streams that trip and recover.
+                let raw = if (d + 3 * i) % 11 < 2 { 6.0 } else { 0.1 };
+                let want = step(&mut clean, i, raw);
+                if i == poisoned {
+                    step(&mut dirty, i, if d >= 5 { f32::NAN } else { raw });
+                } else {
+                    assert_eq!(step(&mut dirty, i, raw), want, "session {i} moved at {d}");
+                }
+            }
+        }
+        for i in (0..n).filter(|&i| i != poisoned) {
+            assert_eq!(clean.last_trip(i), dirty.last_trip(i));
+            assert_eq!(clean.last_recovery(i), dirty.last_recovery(i));
+        }
+        assert!(dirty.tripped(poisoned), "the poisoned session trips");
+        assert!(
+            dirty.last_recovery(poisoned).is_none_or(|r| r < 5),
+            "no recovery after the poison"
+        );
+        assert!(clean.recoveries(poisoned) > 0, "the clean run recovers");
+    }
+
+    #[test]
+    fn session_reset_keeps_lifetime_counters() {
+        let cfg = ServeConfig {
+            k: 2,
+            alpha: 0.1,
+            l: 1,
+            ..ServeConfig::default()
+        };
+        let mut m = FleetMonitors::new(1, &cfg);
+        m.update(0, 0.0);
+        assert!(m.update(0, 9.0));
+        assert_eq!(m.switches(0), 1);
+        m.reset_session(0);
+        assert!(!m.tripped(0));
+        assert_eq!(m.tripped_at(0), None);
+        assert_eq!(m.switches(0), 1, "lifetime switch count survives");
+        assert_eq!(m.decisions(0), 2, "lifetime decision count survives");
+    }
+
+    #[test]
+    #[should_panic(expected = "quiet_windows")]
+    fn zero_quiet_windows_is_rejected() {
+        let cfg = ServeConfig {
+            reverse: Some(ReverseConfig::new(0, 0)),
+            ..ServeConfig::default()
+        };
+        FleetMonitors::new(1, &cfg);
     }
 }

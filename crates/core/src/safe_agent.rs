@@ -73,13 +73,29 @@ impl SafetyPolicy<[f32]> for EnsemblePolicy {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BufferFallback(pub BufferBased);
 
+impl BufferFallback {
+    /// The level for a buffer of `buffer_s` seconds as the observation
+    /// row carries it: stored as `buffer_s / 10` in f32 (`encode_obs`),
+    /// read back ×10 in f64. The fleet engine passes the simulator's
+    /// buffer here and `decide` reads the stored column, so both paths
+    /// share one copy of the rounding and pick identical levels at the
+    /// BB thresholds.
+    pub fn level_for_buffer_s(&self, buffer_s: f64) -> usize {
+        self.level_for_column((buffer_s / 10.0) as f32)
+    }
+
+    fn level_for_column(&self, buffer_col: f32) -> usize {
+        self.0.level_for_buffer(buffer_col as f64 * 10.0)
+    }
+}
+
 impl SafetyPolicy<[f32]> for BufferFallback {
     fn name(&self) -> &'static str {
         "bb"
     }
 
     fn decide(&mut self, obs: &[f32]) -> usize {
-        self.0.level_for_buffer(obs[BUFFER_COL] as f64 * 10.0)
+        self.level_for_column(obs[BUFFER_COL])
     }
 }
 
@@ -163,15 +179,6 @@ where
 
     pub fn signal(&self) -> &S {
         &self.signal
-    }
-
-    /// Mutable signal access — for signal-specific protocols around a
-    /// session run, e.g. the deferred-scoring mode
-    /// [`crate::calibrate::calibrate_novelty`] drives on
-    /// [`crate::signal::NoveltySignal`]. Not needed on the per-decision
-    /// path, which goes through [`SafeAgent::decide`].
-    pub fn signal_mut(&mut self) -> &mut S {
-        &mut self.signal
     }
 
     pub fn monitor(&self) -> &Monitor {
@@ -304,5 +311,100 @@ mod tests {
         assert_eq!(fb.decide(&obs), 0);
         obs[BUFFER_COL] = 6.0; // 60 s — above reservoir + cushion
         assert_eq!(fb.decide(&obs), NUM_BITRATES - 1);
+    }
+
+    /// The fleet's entry point and `decide` on the encoded row agree,
+    /// including buffers that sit right at the BB thresholds.
+    #[test]
+    fn buffer_fallback_rounds_like_the_observation_row() {
+        let mut fb = BufferFallback::default();
+        let mut obs = [0.0f32; OBS_DIM];
+        for buffer_s in [
+            0.0,
+            4.999_999_9,
+            5.0,
+            5.000_000_1,
+            7.5,
+            14.999_999_9,
+            15.0,
+            42.0,
+        ] {
+            obs[BUFFER_COL] = (buffer_s / 10.0) as f32;
+            assert_eq!(
+                fb.level_for_buffer_s(buffer_s),
+                fb.decide(&obs),
+                "{buffer_s} s"
+            );
+        }
+    }
+
+    /// A toy domain whose observation is a struct, not a slice: a
+    /// heater guarded by the variance of its temperature reading.
+    struct Room {
+        temp_c: f32,
+    }
+
+    struct Thermometer;
+    impl UncertaintySignal<Room> for Thermometer {
+        fn name(&self) -> &'static str {
+            "thermometer"
+        }
+        fn observe(&mut self, obs: &Room) -> f32 {
+            obs.temp_c
+        }
+        fn reset(&mut self) {}
+    }
+
+    /// Learned side: heat in proportion to the cold.
+    struct Proportional;
+    impl SafetyPolicy<Room> for Proportional {
+        fn name(&self) -> &'static str {
+            "proportional"
+        }
+        fn decide(&mut self, obs: &Room) -> usize {
+            (20.0 - obs.temp_c).clamp(0.0, 9.0) as usize
+        }
+    }
+
+    /// Safe side: a fixed low setting.
+    struct Low;
+    impl SafetyPolicy<Room> for Low {
+        fn name(&self) -> &'static str {
+            "low"
+        }
+        fn decide(&mut self, _obs: &Room) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn safe_agent_guards_a_non_slice_domain() {
+        use crate::monitor::ReverseConfig;
+        let mut agent: SafeAgent<Room, _, _, _> = SafeAgent::new(
+            Thermometer,
+            Monitor::with_reverse(2, 0.5, 1, ReverseConfig::new(2, 0)),
+            Proportional,
+            Low,
+        );
+        let room = |temp_c| Room { temp_c };
+        assert_eq!(agent.decide(&room(15.0)), 5);
+        assert_eq!(agent.decide(&room(15.0)), 5);
+        // A sensor glitch makes the reading jump: trip to the fallback.
+        assert_eq!(agent.decide(&room(-40.0)), 1, "trip acts via fallback");
+        assert!(agent.tripped());
+        assert_eq!(agent.switch_index(), Some(2));
+        // Steady readings again: two quiet windows hand control back.
+        assert_eq!(
+            agent.decide(&room(18.0)),
+            1,
+            "window still holds the glitch"
+        );
+        assert_eq!(agent.decide(&room(18.0)), 1, "first quiet window");
+        assert_eq!(
+            agent.decide(&room(18.0)),
+            2,
+            "recovered to the learned side"
+        );
+        assert_eq!((agent.switches(), agent.recoveries()), (1, 1));
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! [`crate::run_session`] exercises the safety layer one stream at a
 //! time; a CDN front-end runs *fleets*. [`FleetEngine`] holds the whole
-//! fleet in struct-of-arrays form — the `osa_abr::MultiSession`
+//! fleet in per-session arrays — the `osa_abr::MultiSession`
 //! simulator for the streaming state, [`FleetMonitors`] for the
-//! per-session safety state (k-window variance rings, l-counters, and
-//! the switch/recovery state machines), and per-session
-//! [`FeatureWindow`]s when the fleet is guarded by U_S.
+//! per-session safety state (the one monitor state machine of
+//! [`crate::monitor`], of which a scalar `Monitor` is a fleet of one),
+//! and per-session [`FeatureWindow`]s when the fleet is guarded by U_S.
 //!
 //! # One decision round
 //!
@@ -16,11 +16,12 @@
 //!    and each lane walks its contiguous session range in shard-sized
 //!    batches: one observation fill, one stacked actor forward for the
 //!    whole shard (`(replicas · shard) × dim` — *session-major*, every
-//!    replica of every session in a single grouped GEMM per layer), a
-//!    per-session softmax/mean/argmax for the learned action, and the
-//!    guarding signal's raw value (a batched critic forward for U_V, a
-//!    feature-window score for U_S). Lanes write only their own slice
-//!    of [`SessionSlot`]s and their own [`LaneSlots`] scratch.
+//!    replica of every session in a single grouped GEMM per layer), the
+//!    ensemble's batched policy head for the learned action, and the
+//!    guarding signal's raw value (the batched value head for U_V, a
+//!    feature-window score for U_S) — the same heads the scalar
+//!    `PensieveEnsemble` runs at batch size 1. Lanes write only their
+//!    own slice of [`SessionSlot`]s and their own [`LaneSlots`] scratch.
 //! 2. **Serial apply** — in session order: fold each raw value into the
 //!    session's monitor, pick the learned or fallback action, then
 //!    advance the simulator one chunk (`step_all`, itself two-phase).
@@ -43,28 +44,21 @@
 //! consecutive in-threshold variances, with a re-trip lock against
 //! oscillation. Off by default — the paper's sticky behavior.
 
-use osa_abr::policy::BufferBased;
 use osa_abr::sim::{AbrConfig, MultiSession};
 use osa_abr::video::VideoModel;
-use osa_abr::{HISTORY_LEN, NUM_BITRATES, OBS_DIM};
-use osa_nn::stacked::StackedNet;
+use osa_abr::{HISTORY_LEN, OBS_DIM};
 use osa_nn::tensor::Tensor;
-use osa_nn::workspace::Workspace;
 use osa_ocsvm::detector::NoveltyDetector;
 use osa_ocsvm::features::{FeatureWindow, FEATURE_DIM};
 use osa_ocsvm::OcSvm;
 use osa_runtime::{LaneSlots, ThreadPool};
 use osa_trace::Trace;
 
-use osa_nn::quant::{QuantScratch, QuantStacked};
-
-use crate::ensemble::{softmax_row, trimmed_mean, PensieveEnsemble, ServePrecision};
+use crate::ensemble::{HeadScratch, PensieveEnsemble, ServePrecision, ServingNets};
+pub use crate::monitor::FleetMonitors;
 use crate::monitor::ReverseConfig;
+use crate::safe_agent::BufferFallback;
 use crate::{DEFAULT_K, DEFAULT_L};
-
-/// Sentinel for "no decision index recorded yet" in the SoA monitor
-/// arrays (`u32` indices keep the hot arrays compact).
-const NO_INDEX: u32 = u32::MAX;
 
 /// Which uncertainty signal guards the fleet.
 // One value per engine (not per session), so the OcSvm payload's size
@@ -123,236 +117,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Struct-of-arrays monitor state for the whole fleet — field-for-field
-/// the state machine of [`crate::Monitor`], laid out per session.
-/// `tests/serve_determinism.rs` pins the two implementations bit-equal
-/// on shared raw-value streams.
-pub struct FleetMonitors {
-    k: usize,
-    alpha: f32,
-    l: usize,
-    anchor: Option<f32>,
-    reverse: Option<ReverseConfig>,
-    /// `n × k` variance rings.
-    ring: Vec<f32>,
-    len: Vec<u32>,
-    pos: Vec<u32>,
-    consecutive: Vec<u32>,
-    quiet: Vec<u32>,
-    on_fallback: Vec<bool>,
-    locked: Vec<bool>,
-    tripped_at: Vec<u32>,
-    last_trip: Vec<u32>,
-    last_recovery: Vec<u32>,
-    switches: Vec<u32>,
-    recoveries: Vec<u32>,
-    decisions: Vec<u32>,
-    variance: Vec<f32>,
-}
-
-impl FleetMonitors {
-    pub fn new(n: usize, cfg: &ServeConfig) -> FleetMonitors {
-        assert!(cfg.k >= 1, "variance window k must be >= 1");
-        assert!(cfg.l >= 1, "consecutive exceedances l must be >= 1");
-        if let Some(r) = cfg.reverse {
-            assert!(r.quiet_windows >= 1, "quiet_windows m must be >= 1");
-        }
-        FleetMonitors {
-            k: cfg.k,
-            alpha: cfg.alpha,
-            l: cfg.l,
-            anchor: cfg.anchor,
-            reverse: cfg.reverse,
-            ring: vec![0.0; n * cfg.k],
-            len: vec![0; n],
-            pos: vec![0; n],
-            consecutive: vec![0; n],
-            quiet: vec![0; n],
-            on_fallback: vec![false; n],
-            locked: vec![false; n],
-            tripped_at: vec![NO_INDEX; n],
-            last_trip: vec![NO_INDEX; n],
-            last_recovery: vec![NO_INDEX; n],
-            switches: vec![0; n],
-            recoveries: vec![0; n],
-            decisions: vec![0; n],
-            variance: vec![0.0; n],
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.decisions.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn alpha(&self) -> f32 {
-        self.alpha
-    }
-
-    /// Replace the fleet-wide threshold; resets every session's rolling
-    /// state (same contract as [`crate::Monitor::set_alpha`]).
-    pub fn set_alpha(&mut self, alpha: f32) {
-        self.alpha = alpha;
-        for i in 0..self.len() {
-            self.reset_session(i);
-        }
-    }
-
-    fn reverse_enabled(&self, i: usize) -> bool {
-        self.reverse.is_some() && !self.locked[i]
-    }
-
-    /// Mirror of [`crate::Monitor::observing`] for session `i`.
-    pub fn observing(&self, i: usize) -> bool {
-        !self.on_fallback[i] || self.reverse_enabled(i)
-    }
-
-    /// Mirror of [`crate::Monitor::update`] for session `i` — the same
-    /// arithmetic in the same order, so the bits match the scalar
-    /// monitor on any shared raw stream.
-    pub fn update(&mut self, i: usize, raw: f32) -> bool {
-        let index = self.decisions[i];
-        self.decisions[i] += 1;
-        if self.on_fallback[i] && !self.reverse_enabled(i) {
-            return true;
-        }
-        let k = self.k;
-        let ring = &mut self.ring[i * k..(i + 1) * k];
-        let mut pos = self.pos[i] as usize;
-        ring[pos] = raw;
-        pos = (pos + 1) % k;
-        self.pos[i] = pos as u32;
-        if (self.len[i] as usize) < k {
-            self.len[i] += 1;
-        }
-        if (self.len[i] as usize) < k {
-            return self.on_fallback[i];
-        }
-        let n = k as f32;
-        let mean = match self.anchor {
-            Some(mu) => mu,
-            None => {
-                let mut sum = 0.0f32;
-                for j in 0..k {
-                    sum += ring[(pos + j) % k];
-                }
-                sum / n
-            }
-        };
-        let mut var = 0.0f32;
-        for j in 0..k {
-            let d = ring[(pos + j) % k] - mean;
-            var += d * d;
-        }
-        let var = var / n;
-        self.variance[i] = var;
-        if self.on_fallback[i] {
-            if var > self.alpha {
-                self.quiet[i] = 0;
-            } else {
-                self.quiet[i] += 1;
-                let m = self.reverse.expect("on-fallback update implies reverse");
-                if self.quiet[i] as usize >= m.quiet_windows {
-                    self.on_fallback[i] = false;
-                    self.recoveries[i] += 1;
-                    self.last_recovery[i] = index;
-                    self.quiet[i] = 0;
-                    self.consecutive[i] = 0;
-                }
-            }
-        } else if var > self.alpha {
-            self.consecutive[i] += 1;
-            if self.consecutive[i] as usize >= self.l {
-                self.on_fallback[i] = true;
-                self.switches[i] += 1;
-                if self.tripped_at[i] == NO_INDEX {
-                    self.tripped_at[i] = index;
-                }
-                self.last_trip[i] = index;
-                self.consecutive[i] = 0;
-                self.quiet[i] = 0;
-                if let Some(rev) = self.reverse {
-                    if self.last_recovery[i] != NO_INDEX
-                        && (index - self.last_recovery[i]) as usize <= rev.retrip_guard
-                    {
-                        self.locked[i] = true;
-                    }
-                }
-            }
-        } else {
-            self.consecutive[i] = 0;
-        }
-        self.on_fallback[i]
-    }
-
-    /// Session boundary (auto-reset rollover): forget session `i`'s
-    /// rolling state and trip/recovery *indices*, keep its lifetime
-    /// switch/recovery/decision counters — the same split
-    /// `MultiSession` makes between per-video state and lifetime
-    /// accounting.
-    pub fn reset_session(&mut self, i: usize) {
-        self.ring[i * self.k..(i + 1) * self.k].fill(0.0);
-        self.len[i] = 0;
-        self.pos[i] = 0;
-        self.consecutive[i] = 0;
-        self.quiet[i] = 0;
-        self.on_fallback[i] = false;
-        self.locked[i] = false;
-        self.tripped_at[i] = NO_INDEX;
-        self.last_trip[i] = NO_INDEX;
-        self.last_recovery[i] = NO_INDEX;
-        self.variance[i] = 0.0;
-    }
-
-    pub fn tripped(&self, i: usize) -> bool {
-        self.on_fallback[i]
-    }
-
-    pub fn locked(&self, i: usize) -> bool {
-        self.locked[i]
-    }
-
-    /// Lifetime-decision index of session `i`'s first trip.
-    pub fn tripped_at(&self, i: usize) -> Option<usize> {
-        index_opt(self.tripped_at[i])
-    }
-
-    pub fn last_trip(&self, i: usize) -> Option<usize> {
-        index_opt(self.last_trip[i])
-    }
-
-    pub fn last_recovery(&self, i: usize) -> Option<usize> {
-        index_opt(self.last_recovery[i])
-    }
-
-    pub fn switches(&self, i: usize) -> usize {
-        self.switches[i] as usize
-    }
-
-    pub fn recoveries(&self, i: usize) -> usize {
-        self.recoveries[i] as usize
-    }
-
-    pub fn decisions(&self, i: usize) -> usize {
-        self.decisions[i] as usize
-    }
-
-    pub fn variance(&self, i: usize) -> f32 {
-        self.variance[i]
-    }
-}
-
-fn index_opt(v: u32) -> Option<usize> {
-    if v == NO_INDEX {
-        None
-    } else {
-        Some(v as usize)
-    }
-}
-
 /// Per-session outputs of the parallel phase, plus the U_S feature
 /// window (per-session signal state must live in the sharded slice so
 /// lanes can mutate it without aliasing).
@@ -380,16 +144,11 @@ impl SessionSlot {
     }
 }
 
-/// Per-lane scratch: workspace + forward tensors sized for one shard.
+/// Per-lane scratch: the shard's observations, the ensemble heads'
+/// buffers, and the U_S staging, all sized for one shard.
 struct LaneScratch {
-    ws: Workspace,
-    qscratch: QuantScratch,
     x: Tensor,
-    logits: Tensor,
-    values: Tensor,
-    probs: Tensor,
-    mean: [f32; NUM_BITRATES],
-    devs: Vec<f32>,
+    heads: HeadScratch,
     feat: [f32; FEATURE_DIM],
     /// U_S batch staging: feature rows of this round's ready sessions,
     /// their shard-local indices, and the batched scores — one
@@ -403,14 +162,8 @@ struct LaneScratch {
 impl LaneScratch {
     fn new(replicas: usize, shard: usize) -> LaneScratch {
         LaneScratch {
-            ws: Workspace::new(),
-            qscratch: QuantScratch::new(),
             x: Tensor::zeros(shard, OBS_DIM),
-            logits: Tensor::zeros(0, 0),
-            values: Tensor::zeros(0, 0),
-            probs: Tensor::zeros(replicas * shard, NUM_BITRATES),
-            mean: [0.0; NUM_BITRATES],
-            devs: Vec::with_capacity(replicas),
+            heads: HeadScratch::new(replicas, shard),
             feat: [0.0; FEATURE_DIM],
             feats: Tensor::zeros(shard, FEATURE_DIM),
             us_idx: Vec::with_capacity(shard),
@@ -457,20 +210,14 @@ pub struct FleetTelemetry {
 /// per [`FleetEngine::round`].
 pub struct FleetEngine {
     sim: MultiSession,
-    actor: StackedNet,
-    critic: StackedNet,
-    /// Calibrated int8 actor/critic, present iff the ensemble was
-    /// calibrated; consulted only when `precision` is `Int8`.
-    quant: Option<(QuantStacked, QuantStacked)>,
-    precision: ServePrecision,
-    replicas: usize,
-    keep: usize,
+    /// The ensemble's nets and heads at the configured precision.
+    nets: ServingNets,
     signal: FleetSignal,
     monitors: FleetMonitors,
     slots: Vec<SessionSlot>,
     actions: Vec<usize>,
     lanes: Option<LaneSlots<LaneScratch>>,
-    bb: BufferBased,
+    fallback: BufferFallback,
     shard: usize,
     auto_reset: bool,
     completed_seen: Vec<u64>,
@@ -481,8 +228,7 @@ impl FleetEngine {
     /// Build a fleet of `n` sessions over `traces` (session `i` starts
     /// on trace `i mod traces.len()`), guarded by `signal` under
     /// `serve`'s fleet-wide (k, α, l) and reverse policy. The ensemble
-    /// is consumed: its stacked actor/critic become the fleet's shared
-    /// inference nets.
+    /// is consumed: its stacked nets and heads serve the whole fleet.
     pub fn new(
         ens: PensieveEnsemble,
         signal: FleetSignal,
@@ -492,29 +238,21 @@ impl FleetEngine {
         n: usize,
         serve: &ServeConfig,
     ) -> FleetEngine {
-        let replicas = ens.replicas();
-        let keep = ens.keep();
-        let (actor, critic, quant) = ens.into_serving_nets();
-        assert!(
-            serve.precision != ServePrecision::Int8 || quant.is_some(),
+        let mut nets = ens.into_heads();
+        nets.set_precision(serve.precision).expect(
             "ServeConfig precision Int8 requires PensieveEnsemble::calibrate_int8 \
-             before FleetEngine::new"
+             before FleetEngine::new",
         );
         let sim = MultiSession::new(video, cfg, traces, n, serve.auto_reset);
         FleetEngine {
             sim,
-            actor,
-            critic,
-            quant,
-            precision: serve.precision,
-            replicas,
-            keep,
+            nets,
             signal,
             monitors: FleetMonitors::new(n, serve),
             slots: (0..n).map(|_| SessionSlot::new()).collect(),
             actions: vec![0; n],
             lanes: None,
-            bb: BufferBased::default(),
+            fallback: BufferFallback::default(),
             shard: serve.shard.max(1),
             auto_reset: serve.auto_reset,
             completed_seen: vec![0; n],
@@ -559,7 +297,7 @@ impl FleetEngine {
             None => true,
         };
         if rebuild {
-            let (replicas, shard) = (self.replicas, self.shard);
+            let (replicas, shard) = (self.nets.replicas(), self.shard);
             self.lanes = Some(LaneSlots::new(lanes, |_| LaneScratch::new(replicas, shard)));
         }
 
@@ -568,12 +306,7 @@ impl FleetEngine {
         {
             let FleetEngine {
                 sim,
-                actor,
-                critic,
-                quant,
-                precision,
-                replicas,
-                keep,
+                nets,
                 signal,
                 monitors,
                 slots,
@@ -582,14 +315,9 @@ impl FleetEngine {
                 ..
             } = self;
             let lanes = lanes.as_ref().expect("lane scratch built above");
-            let (replicas, keep, shard) = (*replicas, *keep, *shard);
-            // `None` here means "serve f32" — the engine only consults the
-            // calibrated nets when the configured precision asks for them.
-            let quant = match precision {
-                ServePrecision::Int8 => quant.as_ref(),
-                ServePrecision::F32 => None,
-            };
+            let shard = *shard;
             let sim = &*sim;
+            let nets = &*nets;
             let monitors = &*monitors;
             pool.parallel_for_slice(slots, 1, |lane, first, chunk| {
                 let mut guard = lanes.borrow(lane);
@@ -600,12 +328,8 @@ impl FleetEngine {
                     decide_shard(
                         sim,
                         monitors,
-                        actor,
-                        critic,
-                        quant,
+                        nets,
                         signal,
-                        replicas,
-                        keep,
                         first + off,
                         &mut chunk[off..off + b],
                         scratch,
@@ -627,12 +351,7 @@ impl FleetEngine {
                 self.monitors.update(i, self.slots[i].raw);
             }
             self.actions[i] = if self.monitors.tripped(i) {
-                // Same rounding as `BufferFallback`: the observation
-                // stores buffer/10 as f32, the policy reads it ×10 in
-                // f64 — replicated exactly so fleet and per-session
-                // agents pick identical levels at the thresholds.
-                let buf_obs = (self.sim.buffer_s(i) / 10.0) as f32;
-                self.bb.level_for_buffer(buf_obs as f64 * 10.0)
+                self.fallback.level_for_buffer_s(self.sim.buffer_s(i))
             } else {
                 self.slots[i].learned as usize
             };
@@ -748,54 +467,23 @@ impl FleetEngine {
     }
 }
 
-/// Decide one shard: batched stacked forwards plus per-session signal
-/// scalars, writing into `slots` (sessions `first .. first +
-/// slots.len()`). Pure with respect to everything but `slots` and
-/// `scratch` — the parallel-phase contract.
-#[allow(clippy::too_many_arguments)] // the destructured engine, flattened on purpose
+/// Decide one shard: the ensemble heads over the shard's observations
+/// plus per-session signal scalars, writing into `slots` (sessions
+/// `first .. first + slots.len()`). Pure with respect to everything but
+/// `slots` and `scratch` — the parallel-phase contract.
 fn decide_shard(
     sim: &MultiSession,
     monitors: &FleetMonitors,
-    actor: &StackedNet,
-    critic: &StackedNet,
-    quant: Option<&(QuantStacked, QuantStacked)>,
+    nets: &ServingNets,
     signal: &FleetSignal,
-    replicas: usize,
-    keep: usize,
     first: usize,
     slots: &mut [SessionSlot],
     scratch: &mut LaneScratch,
 ) {
-    let b = slots.len();
-    sim.fill_observations_range(first, b, &mut scratch.x);
-
-    // Learned action: one grouped actor GEMM per layer for the whole
-    // shard, rows replica-major (`row = r·b + s`), then the same
-    // softmax → mean-over-replicas → argmax as `PensieveEnsemble::act`.
-    match quant {
-        Some((qa, _)) => qa.forward_into(&scratch.x, &mut scratch.qscratch, &mut scratch.logits),
-        None => actor.forward_into(&scratch.x, &mut scratch.ws, &mut scratch.logits),
-    }
-    scratch.probs.resize_shape(replicas * b, NUM_BITRATES);
-    for row in 0..replicas * b {
-        softmax_row(scratch.logits.row(row), scratch.probs.row_mut(row));
-    }
-    for (s_i, slot) in slots.iter_mut().enumerate() {
-        for (j, m) in scratch.mean.iter_mut().enumerate() {
-            let mut sum = 0.0f32;
-            for r in 0..replicas {
-                sum += scratch.probs.get(r * b + s_i, j);
-            }
-            *m = sum / replicas as f32;
-        }
-        let mut best = 0;
-        for (j, &p) in scratch.mean.iter().enumerate() {
-            if p > scratch.mean[best] {
-                best = j;
-            }
-        }
-        slot.learned = best as u8;
-    }
+    sim.fill_observations_range(first, slots.len(), &mut scratch.x);
+    nets.policy_batch(&scratch.x, &mut scratch.heads, |s, level| {
+        slots[s].learned = level as u8
+    });
 
     // Raw signal values.
     match signal {
@@ -805,26 +493,9 @@ fn decide_shard(
             }
         }
         FleetSignal::ValueDisagreement => {
-            match quant {
-                Some((_, qc)) => {
-                    qc.forward_into(&scratch.x, &mut scratch.qscratch, &mut scratch.values)
-                }
-                None => critic.forward_into(&scratch.x, &mut scratch.ws, &mut scratch.values),
-            }
-            for (s_i, slot) in slots.iter_mut().enumerate() {
-                let mut mean = 0.0f32;
-                for r in 0..replicas {
-                    mean += scratch.values.get(r * b + s_i, 0);
-                }
-                mean /= replicas as f32;
-                scratch.devs.clear();
-                for r in 0..replicas {
-                    scratch
-                        .devs
-                        .push((scratch.values.get(r * b + s_i, 0) - mean).abs());
-                }
-                slot.raw = trimmed_mean(&mut scratch.devs, keep);
-            }
+            nets.value_spread_batch(&scratch.x, &mut scratch.heads, |s, spread| {
+                slots[s].raw = spread
+            });
         }
         FleetSignal::Novelty(svm) => {
             // Gather the shard's ready feature windows, score them in
@@ -860,82 +531,5 @@ fn decide_shard(
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fleet_monitor_matches_scalar_monitor_bit_for_bit() {
-        // Shared raw streams through both implementations, sticky and
-        // reverse, including post-recovery re-trips.
-        let reverse = ReverseConfig::new(2, 3);
-        for rev in [None, Some(reverse)] {
-            let cfg = ServeConfig {
-                k: 3,
-                alpha: 0.4,
-                l: 2,
-                reverse: rev,
-                ..ServeConfig::default()
-            };
-            let mut fleet = FleetMonitors::new(2, &cfg);
-            let mut scalar = match rev {
-                Some(r) => crate::Monitor::with_reverse(3, 0.4, 2, r),
-                None => crate::Monitor::new(3, 0.4, 2),
-            };
-            // A stream that trips, quiets, and trips again.
-            let stream = [
-                0.1f32, 0.2, 0.1, 5.0, 0.1, 6.0, 0.2, 0.1, 0.1, 0.1, 0.1, 7.0, 0.1, 8.0, 0.1, 0.1,
-                0.1, 0.1,
-            ];
-            for &raw in &stream {
-                let expect = if scalar.observing() {
-                    scalar.update(raw)
-                } else {
-                    scalar.tripped()
-                };
-                let got = if fleet.observing(0) {
-                    fleet.update(0, raw)
-                } else {
-                    fleet.tripped(0)
-                };
-                assert_eq!(got, expect, "tripped state diverged (reverse={rev:?})");
-                assert_eq!(
-                    fleet.variance(0).to_bits(),
-                    scalar.variance().to_bits(),
-                    "variance bits diverged (reverse={rev:?})"
-                );
-            }
-            assert_eq!(fleet.switches(0), scalar.switches());
-            assert_eq!(fleet.recoveries(0), scalar.recoveries());
-            assert_eq!(fleet.tripped_at(0), scalar.tripped_at());
-            assert_eq!(fleet.last_trip(0), scalar.last_trip());
-            assert_eq!(fleet.last_recovery(0), scalar.last_recovery());
-            assert_eq!(fleet.locked(0), scalar.locked());
-            // Session 1 was never touched.
-            assert_eq!(fleet.switches(1), 0);
-            assert_eq!(fleet.decisions(1), 0);
-        }
-    }
-
-    #[test]
-    fn session_reset_keeps_lifetime_counters() {
-        let cfg = ServeConfig {
-            k: 2,
-            alpha: 0.1,
-            l: 1,
-            ..ServeConfig::default()
-        };
-        let mut m = FleetMonitors::new(1, &cfg);
-        m.update(0, 0.0);
-        assert!(m.update(0, 9.0));
-        assert_eq!(m.switches(0), 1);
-        m.reset_session(0);
-        assert!(!m.tripped(0));
-        assert_eq!(m.tripped_at(0), None);
-        assert_eq!(m.switches(0), 1, "lifetime switch count survives");
-        assert_eq!(m.decisions(0), 2, "lifetime decision count survives");
     }
 }

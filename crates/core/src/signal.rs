@@ -4,11 +4,11 @@
 //! uncertainty value; the [`crate::monitor::Monitor`] smooths that value
 //! with a k-window variance and trips after l consecutive exceedances
 //! (§2.5). The trait is generic over the observation type so the same
-//! machinery can guard both the ABR case study (`O = [f32]`, the
-//! `osa_abr` observation row) and future domains (congestion control).
+//! machinery can guard the ABR case study (`O = [f32]`, the `osa_abr`
+//! observation row) and any other domain — `safe_agent`'s tests guard
+//! a toy domain whose observation is a struct.
 
 use osa_abr::HISTORY_LEN;
-use osa_nn::tensor::Tensor;
 use osa_ocsvm::detector::NoveltyDetector;
 use osa_ocsvm::features::{FeatureWindow, FEATURE_DIM};
 
@@ -75,10 +75,6 @@ pub struct NoveltySignal<D: NoveltyDetector> {
     window: FeatureWindow,
     feat: [f32; FEATURE_DIM],
     last: f32,
-    /// Deferred-scoring mode (see [`NoveltySignal::begin_deferred`]):
-    /// `observe` collects rates instead of scoring.
-    deferred: bool,
-    rates: Vec<f32>,
 }
 
 impl<D: NoveltyDetector> NoveltySignal<D> {
@@ -89,66 +85,11 @@ impl<D: NoveltyDetector> NoveltySignal<D> {
             window: FeatureWindow::new(),
             feat: [0.0; FEATURE_DIM],
             last: 0.0,
-            deferred: false,
-            rates: Vec::new(),
         }
     }
 
     pub fn detector(&self) -> &D {
         &self.detector
-    }
-
-    /// Enter deferred-scoring mode: `observe` records the throughput
-    /// rate and returns the quiet value without touching the detector;
-    /// [`NoveltySignal::deferred_raw_series`] later reconstructs the
-    /// whole session's raw series through one batched scoring call.
-    /// Only sound when the raw value cannot influence the session —
-    /// i.e. under a monitor with `α = ∞`, which is exactly the
-    /// calibration setting ([`crate::calibrate::calibrate_novelty`]).
-    /// `reset` (the session boundary) clears the collected rates but
-    /// stays in deferred mode until [`NoveltySignal::end_deferred`].
-    pub fn begin_deferred(&mut self) {
-        self.deferred = true;
-        self.rates.clear();
-    }
-
-    /// Leave deferred mode; `observe` scores per decision again.
-    pub fn end_deferred(&mut self) {
-        self.deferred = false;
-        self.rates.clear();
-    }
-
-    /// Replay the rates collected since the last reset into the raw
-    /// signal series `observe` would have produced live, scoring every
-    /// ready feature window in one [`NoveltyDetector::score_batch_into`]
-    /// call — bit-identical to the per-decision path because the
-    /// batched engine is the canonical scorer at every batch size.
-    pub fn deferred_raw_series(&self, out: &mut Vec<f32>) {
-        assert!(self.deferred, "deferred_raw_series outside deferred mode");
-        out.clear();
-        let mut window = FeatureWindow::new();
-        let mut feat = [0.0f32; FEATURE_DIM];
-        let mut feats = Tensor::zeros(0, FEATURE_DIM);
-        let mut ready = Vec::with_capacity(self.rates.len());
-        for &r in &self.rates {
-            window.push(r);
-            ready.push(window.ready());
-            if window.ready() {
-                window.write(&mut feat);
-                feats.push_row(&feat);
-            }
-        }
-        let mut scores = vec![0.0f32; feats.rows()];
-        self.detector.score_batch_into(&feats, &mut scores);
-        let mut last = 0.0f32;
-        let mut next = 0usize;
-        for was_ready in ready {
-            if was_ready {
-                last = scores[next];
-                next += 1;
-            }
-            out.push(last);
-        }
     }
 }
 
@@ -162,12 +103,7 @@ impl<D: NoveltyDetector> UncertaintySignal<[f32]> for NoveltySignal<D> {
     /// so the features live on the same Mbit/s scale the detector was
     /// fitted on.
     fn observe(&mut self, obs: &[f32]) -> f32 {
-        let rate = obs[HISTORY_LEN - 1] * 10.0;
-        if self.deferred {
-            self.rates.push(rate);
-            return 0.0;
-        }
-        self.window.push(rate);
+        self.window.push(obs[HISTORY_LEN - 1] * 10.0);
         if self.window.ready() {
             self.window.write(&mut self.feat);
             self.last = self.detector.score(&self.feat);
@@ -180,7 +116,6 @@ impl<D: NoveltyDetector> UncertaintySignal<[f32]> for NoveltySignal<D> {
     fn reset(&mut self) {
         self.window.reset();
         self.last = 0.0;
-        self.rates.clear();
     }
 }
 

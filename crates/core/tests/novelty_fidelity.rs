@@ -8,13 +8,9 @@
 //! headline scenarios, and the agreement between the two production
 //! paths that now share the engine:
 //!
-//! - **Calibration equivalence:** [`calibrate_novelty`] (deferred
-//!   collection + one batched scoring call + monitor replay) must
-//!   produce the *bit-identical* `Calibration` of the generic
-//!   per-decision [`calibrate`], anchored and unanchored alike.
 //! - **fig1 scenario (in-distribution Norway):** a U_S agent calibrated
-//!   through the batched path never switches on held-out
-//!   in-distribution traces — zero spurious trips tolerated.
+//!   by [`calibrate`] never switches on held-out in-distribution
+//!   traces — zero spurious trips tolerated.
 //! - **fig2 scenario (shifted Belgium 4G):** the shift trips most
 //!   sessions, and the fleet engine's per-shard batched scoring agrees
 //!   with the scalar per-decision agent on every trip decision — same
@@ -97,45 +93,6 @@ fn us_agent(text: &str, svm: OcSvm, alpha: f32) -> AbrSafeAgent<NoveltySignal<Oc
 }
 
 #[test]
-fn calibrate_novelty_matches_generic_calibrate_bit_for_bit() {
-    let text = artifact_text();
-    let video = VideoModel::envivio();
-    let cfg = AbrConfig::default();
-    let split = Split::generate(Dataset::Norway, 60, 400, 2020);
-    let svm = fitted_svm(&text, &video, &cfg, &split.train[..4]);
-    let traces = &split.validation[..3];
-
-    let mut generic = us_agent(&text, svm.clone(), f32::INFINITY);
-    let mut deferred = us_agent(&text, svm, f32::INFINITY);
-    let want = calibrate(&mut generic, &video, &cfg, traces, DEFAULT_MARGIN);
-    let got = calibrate_novelty(&mut deferred, &video, &cfg, traces, DEFAULT_MARGIN);
-    assert_eq!(got.alpha.to_bits(), want.alpha.to_bits(), "alpha");
-    assert_eq!(got.mu.to_bits(), want.mu.to_bits(), "mu");
-    assert_eq!(
-        got.max_variance.to_bits(),
-        want.max_variance.to_bits(),
-        "max_variance"
-    );
-    assert_eq!((got.k, got.l), (want.k, want.l));
-
-    // Anchored mode rides through the replay monitor's clone too.
-    generic.monitor_mut().set_anchor(Some(want.mu));
-    deferred.monitor_mut().set_anchor(Some(got.mu));
-    let want_a = calibrate(&mut generic, &video, &cfg, traces, DEFAULT_MARGIN);
-    let got_a = calibrate_novelty(&mut deferred, &video, &cfg, traces, DEFAULT_MARGIN);
-    assert_eq!(
-        got_a.alpha.to_bits(),
-        want_a.alpha.to_bits(),
-        "anchored alpha"
-    );
-    assert_eq!(
-        got_a.max_variance.to_bits(),
-        want_a.max_variance.to_bits(),
-        "anchored max_variance"
-    );
-}
-
-#[test]
 fn batched_us_keeps_fig1_quiet_and_fig2_tripping_with_fleet_parity() {
     let text = artifact_text();
     let video = VideoModel::envivio();
@@ -144,7 +101,7 @@ fn batched_us_keeps_fig1_quiet_and_fig2_tripping_with_fleet_parity() {
     let svm = fitted_svm(&text, &video, &cfg, &split.train[..4]);
 
     let mut agent = us_agent(&text, svm.clone(), f32::INFINITY);
-    let cal = calibrate_novelty(
+    let cal = calibrate(
         &mut agent,
         &video,
         &cfg,

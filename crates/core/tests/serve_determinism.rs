@@ -3,9 +3,10 @@
 //! 1. **Fleet ≡ scalar.** A [`FleetEngine`] session must produce the
 //!    exact bits of a per-session [`SafeAgent`] on the same trace —
 //!    QoE accounting, switch/recovery indices, lifetime counters —
-//!    sticky and reverse-switching alike. The fleet path re-implements
-//!    the decision arithmetic in struct-of-arrays form; this test is
-//!    what keeps the two implementations from drifting.
+//!    sticky and reverse-switching alike. The two paths share the
+//!    monitor state machine and the ensemble heads, but not their
+//!    plumbing (observation fill, sharding, U_S feature windows, the
+//!    serial apply), so this end-to-end pin stays.
 //! 2. **Pool invariance.** Fleet telemetry and per-session monitor
 //!    state are bit-identical at any worker count, including uneven
 //!    session counts that split ragged across lanes and shard sizes

@@ -2,8 +2,8 @@
 //!
 //! This is the root of the workspace's dependency DAG: the A3C actor/critic
 //! networks (`osa-mdp`, `osa-pensieve`), the agent/value ensembles behind
-//! the U_π and U_V uncertainty signals (`osa-core`), and the congestion
-//! controller (`osa-cc`) are all built from these pieces. No tch/torch —
+//! the U_π and U_V uncertainty signals (`osa-core`) are all built from
+//! these pieces. No tch/torch —
 //! every forward and backward pass is hand-written and verified against
 //! central-difference numerical gradients (`tests/gradcheck.rs`).
 //!

@@ -77,6 +77,11 @@ struct State {
 }
 
 struct Shared {
+    /// Held by a dispatching thread for its whole epoch. Threads that
+    /// share one pool (libtest threads on [`global`]) take turns:
+    /// without it a second dispatch overwrites the first one's task and
+    /// `active` count while its workers are still running.
+    dispatch: Mutex<()>,
     state: Mutex<State>,
     /// Signalled by the caller when a new epoch (or shutdown) is posted.
     start: Condvar,
@@ -135,6 +140,7 @@ impl ThreadPool {
         // panic-safe: threads that outlive a failed join still hold a
         // valid reference).
         let shared: &'static Shared = Box::leak(Box::new(Shared {
+            dispatch: Mutex::new(()),
             state: Mutex::new(State {
                 epoch: 0,
                 task: None,
@@ -306,6 +312,14 @@ impl ThreadPool {
         let task: Task = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(task)
         };
+        // One epoch at a time per pool. Poisoning is harmless here: the
+        // guard protects no data, and panics are re-raised only after
+        // the epoch has drained.
+        let _turn = self
+            .shared
+            .dispatch
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         {
             let mut st = self.shared.lock();
             st.epoch += 1;

@@ -132,3 +132,58 @@ fn lane_slots_survive_task_panics() {
     }
     assert!(seen.iter().all(|&c| c <= 1));
 }
+
+/// Several threads dispatching to one pool at once — the situation of
+/// libtest threads sharing `global()` — must serialize whole epochs:
+/// every dispatch visits each of its indices exactly once, and none
+/// hangs waiting on another dispatch's workers.
+#[test]
+fn concurrent_dispatchers_share_one_pool() {
+    let pool = ThreadPool::new(4);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for caller in 0..4 {
+            let (pool, start) = (&pool, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..500 {
+                    let n = 16 + (caller * 7 + round) % 48;
+                    let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                    pool.parallel_for(n, |_, range| {
+                        for i in range {
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                    assert!(
+                        hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                        "caller {caller}, round {round}: an index was skipped or repeated"
+                    );
+                }
+            });
+        }
+    });
+}
+
+/// Per-thread pools next to the shared global pool: each thread sweeps
+/// its own pool while also dispatching to `global()`.
+#[test]
+fn per_thread_pools_run_beside_the_global_pool() {
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|scope| {
+        for caller in 0..3 {
+            let start = &start;
+            scope.spawn(move || {
+                let own = ThreadPool::new(2 + caller);
+                start.wait();
+                for round in 0..200 {
+                    let map = |r: std::ops::Range<usize>| r.sum::<usize>();
+                    let n = 50 + round;
+                    let want = n * (n - 1) / 2;
+                    assert_eq!(own.parallel_reduce(n, 7, map, |a, b| a + b), Some(want));
+                    let global = osa_runtime::global();
+                    assert_eq!(global.parallel_reduce(n, 5, map, |a, b| a + b), Some(want));
+                }
+            });
+        }
+    });
+}

@@ -102,7 +102,7 @@ fn run_once() -> Vec<String> {
         ValueDisagreement::new(ens.clone()),
         Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
     );
-    let cal_s = calibrate_novelty(&mut u_s, &video, &cfg, &split.validation, DEFAULT_MARGIN);
+    let cal_s = calibrate(&mut u_s, &video, &cfg, &split.validation, DEFAULT_MARGIN);
     let cal_v = calibrate(&mut u_v, &video, &cfg, &split.validation, DEFAULT_MARGIN);
     lines.push(format!(
         "calibrated: U_S alpha {:.4e}, U_V alpha {:.4e} (k {}, l {}, margin {DEFAULT_MARGIN})",

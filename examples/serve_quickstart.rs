@@ -111,7 +111,7 @@ fn run_once() -> Vec<String> {
         NoveltySignal::new(svm.clone()),
         Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
     );
-    let unanchored = calibrate_novelty(
+    let unanchored = calibrate(
         &mut agent,
         &video,
         &cfg,
@@ -119,7 +119,7 @@ fn run_once() -> Vec<String> {
         DEFAULT_MARGIN,
     );
     agent.monitor_mut().set_anchor(Some(unanchored.mu));
-    let anchored = calibrate_novelty(
+    let anchored = calibrate(
         &mut agent,
         &video,
         &cfg,

@@ -178,6 +178,14 @@ pub fn encode_obs(
     out[2 * HISTORY_LEN + NUM_BITRATES + 2] = prev_level as f32 / (NUM_BITRATES - 1) as f32;
 }
 
+/// The newest throughput sample of an [`encode_obs`] row, back on its
+/// Mbit/s scale (column `HISTORY_LEN − 1`, undoing the ÷10) — the raw
+/// input of the U_S feature pipeline.
+#[inline]
+pub fn newest_tput_mbps(obs: &[f32]) -> f32 {
+    obs[HISTORY_LEN - 1] * 10.0
+}
+
 /// Scalar state of one streaming session, stepped against *borrowed*
 /// video/config/trace — the clone-free single-session counterpart of
 /// [`MultiSession`].

@@ -79,7 +79,8 @@ fn main() {
     let mut results = Vec::new();
 
     // 1. Per-decision cost of each guarded signal.
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    let corpus = novelty_corpus(&ens, &video, &cfg, &split.train);
+    let svm = fit_novelty(&corpus);
     let sv_count = svm.diag().expect("fitted").support_vectors;
     let mut per_decision = Vec::new();
     for (name, mut agent) in osap::signal_agents(&ens, svm.clone()) {
@@ -104,28 +105,13 @@ fn main() {
     }
 
     // 2. Offline SMO fit on the real §3.1 corpus.
-    let mut collector = abr_safe_agent(
-        ens.clone(),
-        osap::RateCollector { rates: Vec::new() },
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let mut windows: Vec<[f32; FEATURE_DIM]> = Vec::new();
-    for t in &split.train[..osap::US_FIT_TRACES] {
-        run_session(&mut collector, &video, &cfg, t);
-        windows.extend(window_features(&collector.signal().rates));
-    }
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
     let stats = run_bench("ocsvm_fit", fit_samples, || {
-        let mut fresh = OcSvm::new(OcSvmConfig::default());
-        fresh.fit(&x);
+        let fresh = fit_novelty(&corpus);
         std::hint::black_box(fresh.diag().map(|d| d.support_vectors));
     });
     let mut entry = stats.to_json();
     if let Value::Obj(map) = &mut entry {
-        map.insert("windows".into(), Value::Num(windows.len() as f64));
+        map.insert("windows".into(), Value::Num(corpus.rows() as f64));
         map.insert("support_vectors".into(), Value::Num(sv_count as f64));
     }
     results.push(entry);
@@ -141,7 +127,7 @@ fn main() {
     for i in 0..US_BATCH {
         batch
             .row_mut(i)
-            .copy_from_slice(&windows[i % windows.len()]);
+            .copy_from_slice(corpus.row(i % corpus.rows()));
     }
     let mut scores = vec![0.0f32; US_BATCH];
     let stats = run_bench("u_s_batched", samples, || {

@@ -140,7 +140,7 @@ struct UsGuard {
 
 fn calibrated_us(video: &VideoModel, cfg: &AbrConfig, split: &Split) -> UsGuard {
     let ens = osap::load_ensemble();
-    let svm = osap::fit_us_svm(&ens, video, cfg, &split.train);
+    let svm = fit_novelty(&novelty_corpus(&ens, video, cfg, &split.train));
     let mut agent = abr_safe_agent(
         ens.clone(),
         NoveltySignal::new(svm.clone()),

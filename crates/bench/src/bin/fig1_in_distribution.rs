@@ -40,7 +40,7 @@ fn main() {
     push_row("random", 0.0, f64::NAN, -1, None);
     push_row("bb", 1.0, f64::NAN, -1, None);
 
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    let svm = fit_novelty(&novelty_corpus(&ens, &video, &cfg, &split.train));
     let mut unguarded = abr_safe_agent(
         ens.clone(),
         NullSignal,

@@ -47,7 +47,7 @@ fn main() {
         rows.push(obj(fields));
     };
 
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    let svm = fit_novelty(&novelty_corpus(&ens, &video, &cfg, &split.train));
     let mut unguarded = abr_safe_agent(
         ens.clone(),
         NullSignal,

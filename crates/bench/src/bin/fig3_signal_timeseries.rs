@@ -24,7 +24,7 @@ fn main() {
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
     let ens = osap::load_ensemble();
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    let svm = fit_novelty(&novelty_corpus(&ens, &video, &cfg, &split.train));
     let quiet = split.test[0].clone();
     let shifted = Dataset::Belgium
         .generate(1, osap::CORPUS_LEN, 77)

@@ -21,7 +21,7 @@ fn main() {
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
     let ens = osap::load_ensemble();
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    let svm = fit_novelty(&novelty_corpus(&ens, &video, &cfg, &split.train));
     let scenarios = osap::ood_scenarios(&split);
     let mut agents =
         osap::calibrated_signal_agents(&ens, svm, &video, &cfg, &split.validation, DEFAULT_MARGIN);

@@ -19,7 +19,7 @@ fn main() {
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
     let ens = osap::load_ensemble();
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    let svm = fit_novelty(&novelty_corpus(&ens, &video, &cfg, &split.train));
     let scenarios = osap::ood_scenarios(&split);
     let traces: Vec<_> = scenarios.iter().map(|(_, t)| t.clone()).collect();
     let anch = anchors(&video, &cfg, &traces, osap::CORPUS_SEED);

@@ -29,7 +29,7 @@ fn main() {
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
     let ens = osap::load_ensemble();
-    let svm = osap::fit_us_svm(&ens, &video, &cfg, &split.train);
+    let svm = fit_novelty(&novelty_corpus(&ens, &video, &cfg, &split.train));
     let sv_count = svm.diag().expect("fitted").support_vectors;
     let mut rng = Rng::seed_from_u64(9);
     let bank: Vec<Vec<f32>> = (0..16)

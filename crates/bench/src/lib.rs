@@ -7,9 +7,8 @@
 //!   4G), `fig3_signal_timeseries`, `fig4_detection_delay`, `fig5_cdf`,
 //!   and `table_runtime`. Each is fully deterministic off the committed
 //!   ensemble artifact and writes a diffable JSON to
-//!   `artifacts/figures/` (see [`osap`], the shared setup). Remaining
-//!   from DESIGN.md §7: the ablation binaries (thresholding, ensemble
-//!   size, detector choice, revert strategy, CC generalization).
+//!   `artifacts/figures/` (see [`osap`], the shared setup). The
+//!   ablation binaries of DESIGN.md §7 are not built.
 //! - Microbenchmarks (`benches/`, hand-rolled harness — the offline
 //!   build has no criterion): NN forward/backward, A2C rollout
 //!   throughput, trace generation, ABR engine step, and `osap_signals`

@@ -3,16 +3,14 @@
 //!
 //! Everything downstream of the committed ensemble artifact is built
 //! here exactly once: the Norway corpus contract (shared with
-//! `examples/osap_ensemble_train.rs`), the §3.1 U_S feature harvest +
-//! one-class SVM fit, and the three uncertainty signals wrapped into
+//! `examples/osap_ensemble_train.rs`), the U_S fit (the one pipeline in
+//! `osa_core::signal`), and the three uncertainty signals wrapped into
 //! boxed [`AbrSafeAgent`]s so figure binaries can sweep them uniformly.
 //! Every piece is deterministic — same artifact, same corpus, same
 //! bits, at any `OSA_THREADS`.
 
 use osa_abr::prelude::*;
-use osa_abr::HISTORY_LEN;
 use osa_core::prelude::*;
-use osa_nn::tensor::Tensor;
 use osa_ocsvm::prelude::*;
 use osa_trace::prelude::*;
 
@@ -21,13 +19,6 @@ use osa_trace::prelude::*;
 pub const CORPUS_COUNT: usize = 60;
 pub const CORPUS_LEN: usize = 400;
 pub const CORPUS_SEED: u64 = 2020;
-
-/// Train traces harvested for the U_S feature corpus. More data is
-/// strictly kinder to the classic-ND baseline's accuracy — but its
-/// support-vector count (and so its per-decision cost) grows with the
-/// corpus, which is the runtime asymmetry `BENCH_osap.json` records:
-/// U_π/U_V cost is constant in corpus size.
-pub const US_FIT_TRACES: usize = 16;
 
 /// The committed 5-replica ensemble (regenerate with
 /// `cargo run --release --example osap_ensemble_train`).
@@ -46,50 +37,16 @@ pub fn load_ensemble() -> SharedEnsemble {
     shared(PensieveEnsemble::from_json(&text).expect("valid ensemble artifact"))
 }
 
-/// Taps the newest throughput sample (observation column
-/// `HISTORY_LEN − 1`, rescaled back to Mbit/s) while the wrapped agent
-/// streams — the raw material of the §3.1 feature pipeline.
-pub struct RateCollector {
-    pub rates: Vec<f32>,
-}
-
-impl UncertaintySignal<[f32]> for RateCollector {
-    fn name(&self) -> &'static str {
-        "rate-collector"
-    }
-    fn observe(&mut self, obs: &[f32]) -> f32 {
-        self.rates.push(obs[HISTORY_LEN - 1] * 10.0);
-        0.0
-    }
-    fn reset(&mut self) {}
-}
-
-/// Harvest in-distribution throughput windows under the ensemble-mean
-/// policy over the first [`US_FIT_TRACES`] of `traces` and fit the U_S
-/// one-class SVM on them.
+/// [`fit_novelty`] on the [`novelty_corpus`] of `traces`, kept because
+/// the benchmark package (`guardbench/`) calls it. It forwards to the
+/// one U_S fit pipeline in `osa_core::signal`.
 pub fn fit_us_svm(
     ens: &SharedEnsemble,
     video: &VideoModel,
     cfg: &AbrConfig,
     traces: &[Trace],
 ) -> OcSvm {
-    let mut collector = abr_safe_agent(
-        ens.clone(),
-        RateCollector { rates: Vec::new() },
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let mut windows: Vec<[f32; FEATURE_DIM]> = Vec::new();
-    for t in &traces[..US_FIT_TRACES.min(traces.len())] {
-        run_session(&mut collector, video, cfg, t);
-        windows.extend(window_features(&collector.signal().rates));
-    }
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
-    let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
-    svm
+    fit_novelty(&novelty_corpus(ens, video, cfg, traces))
 }
 
 /// A boxed uncertainty signal, so the three signals share one type.

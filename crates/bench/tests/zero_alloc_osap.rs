@@ -16,7 +16,6 @@ use osa_abr::prelude::*;
 use osa_bench::counting_alloc::{min_window_allocations, CountingAlloc};
 use osa_core::prelude::*;
 use osa_nn::rng::Rng;
-use osa_nn::tensor::Tensor;
 use osa_ocsvm::prelude::*;
 
 #[global_allocator]
@@ -44,14 +43,7 @@ fn obs_bank(rng: &mut Rng) -> Vec<Vec<f32>> {
 
 fn fitted_svm(rng: &mut Rng) -> OcSvm {
     let rates: Vec<f32> = (0..160).map(|_| 1.0 + rng.next_f32() * 3.0).collect();
-    let windows = window_features(&rates);
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
-    let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
-    svm
+    fit_novelty(&window_features(&rates))
 }
 
 #[test]

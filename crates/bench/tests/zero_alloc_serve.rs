@@ -15,7 +15,7 @@
 
 use osa_abr::prelude::*;
 use osa_bench::counting_alloc::{min_window_allocations, CountingAlloc};
-use osa_bench::osap::{corpus, fit_us_svm, load_ensemble, ARTIFACT};
+use osa_bench::osap::{corpus, load_ensemble, ARTIFACT};
 use osa_core::prelude::*;
 use osa_core::serve::FleetEngine;
 
@@ -40,7 +40,8 @@ fn steady_state_fleet_rounds_are_allocation_free() {
     let split = corpus();
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
-    let svm = fit_us_svm(&load_ensemble(), &video, &cfg, &split.train);
+    let corpus = novelty_corpus(&load_ensemble(), &video, &cfg, &split.train);
+    let svm = fit_novelty(&corpus);
     let traces = split.test[..8].to_vec();
 
     // Reverse switching on and a finite threshold: the measured loop

@@ -134,7 +134,6 @@ mod tests {
         fn observe(&mut self, obs: &[f32]) -> f32 {
             obs[osa_abr::HISTORY_LEN - 1]
         }
-        fn reset(&mut self) {}
     }
 
     #[test]

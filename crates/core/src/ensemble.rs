@@ -28,10 +28,16 @@
 //!
 //! The safe agent *acts* with the ensemble-mean distribution (argmax),
 //! which needs exactly the stacked actor forward U_π also needs. The
-//! ensemble therefore caches the most recent policy evaluation with a
-//! `fresh` flag: when the U_π signal observes an observation first, the
-//! subsequent [`PensieveEnsemble::act`] on the same observation reuses
-//! the cached action — the *marginal* cost of U_π is just the KL sums.
+//! ensemble therefore caches the most recent policy evaluation together
+//! with the observation it ran on: when the U_π signal observes an
+//! observation first, the subsequent [`PensieveEnsemble::act`] on the
+//! bit-identical observation reuses the cached action — the *marginal*
+//! cost of U_π is just the KL sums. Any other observation misses and
+//! runs its own forward, so a stale forward can never leak into a
+//! decision, whatever order session resets run in; nothing needs to
+//! invalidate the cache except [`PensieveEnsemble::set_precision`] and
+//! [`PensieveEnsemble::calibrate_int8`], which change the forward
+//! itself.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -219,9 +225,13 @@ pub struct PensieveEnsemble {
     nets: ServingNets,
     scratch: HeadScratch,
     x: Tensor,
+    /// Observation of the last [`PensieveEnsemble::policy_eval`] — kept
+    /// apart from `x`, which the U_V critic forward overwrites.
+    key: [f32; OBS_DIM],
     /// Learned level of the last [`PensieveEnsemble::policy_eval`].
     action: usize,
-    fresh: bool,
+    /// Whether `key`/`action` hold a forward at the current precision.
+    cached: bool,
 }
 
 impl PensieveEnsemble {
@@ -257,8 +267,9 @@ impl PensieveEnsemble {
             },
             scratch: HeadScratch::new(replicas, 1),
             x: Tensor::zeros(1, OBS_DIM),
+            key: [0.0; OBS_DIM],
             action: 0,
-            fresh: false,
+            cached: false,
         })
     }
 
@@ -285,7 +296,8 @@ impl PensieveEnsemble {
     /// activation scales on `calib` (`rows × OBS_DIM` validation-split
     /// observations — see `crate::eval::calibration_observations`).
     /// Keeps the f32 nets; call [`set_precision`] to pick which one
-    /// serves.
+    /// serves. Drops the cached policy evaluation, which may have run on
+    /// the int8 nets this replaces.
     ///
     /// [`set_precision`]: PensieveEnsemble::set_precision
     pub fn calibrate_int8(&mut self, calib: &Tensor) {
@@ -293,6 +305,7 @@ impl PensieveEnsemble {
         let qa = QuantStacked::from_stacked(&self.nets.actor, calib, ws);
         let qc = QuantStacked::from_stacked(&self.nets.critic, calib, ws);
         self.nets.quant = Some((qa, qc));
+        self.cached = false;
     }
 
     /// Switch the serving precision. `Int8` requires a prior
@@ -302,7 +315,7 @@ impl PensieveEnsemble {
     /// [`calibrate_int8`]: PensieveEnsemble::calibrate_int8
     pub fn set_precision(&mut self, precision: ServePrecision) -> Result<(), String> {
         self.nets.set_precision(precision)?;
-        self.fresh = false;
+        self.cached = false;
         Ok(())
     }
 
@@ -333,14 +346,9 @@ impl PensieveEnsemble {
         self.cfg
     }
 
-    /// Drop any cached policy evaluation (session boundary).
-    pub fn invalidate(&mut self) {
-        self.fresh = false;
-    }
-
     /// Stacked actor forward of one observation: per-replica softmax,
-    /// the ensemble-mean distribution and its argmax, cached for the
-    /// next [`act`].
+    /// the ensemble-mean distribution and its argmax, cached for an
+    /// [`act`] on the same observation.
     ///
     /// [`act`]: PensieveEnsemble::act
     pub fn policy_eval(&mut self, obs: &[f32]) {
@@ -348,8 +356,9 @@ impl PensieveEnsemble {
         let mut level = 0;
         self.nets
             .policy_batch(&self.x, &mut self.scratch, |_, a| level = a);
+        self.key.copy_from_slice(obs);
         self.action = level;
-        self.fresh = true;
+        self.cached = true;
     }
 
     /// Ensemble-mean action distribution of the last [`policy_eval`].
@@ -369,14 +378,15 @@ impl PensieveEnsemble {
 
     /// Act with the ensemble-mean policy: argmax of the mean
     /// distribution (ties → lowest level, matching `Policy::greedy`).
-    /// Reuses the cached forward when a U_π observation of this decision
-    /// already ran it; the cache is consumed, so each decision computes
-    /// at most one actor forward.
+    /// Reuses the cached forward when it ran on a bit-identical
+    /// observation (a U_π observation of this decision), so each
+    /// decision computes at most one actor forward.
     pub fn act(&mut self, obs: &[f32]) -> usize {
-        if !self.fresh {
+        let key = self.key.iter().map(|k| k.to_bits());
+        let hit = self.cached && key.eq(obs.iter().map(|o| o.to_bits()));
+        if !hit {
             self.policy_eval(obs);
         }
-        self.fresh = false;
         self.action
     }
 
@@ -532,10 +542,6 @@ impl UncertaintySignal<[f32]> for PolicyDisagreement {
     fn observe(&mut self, obs: &[f32]) -> f32 {
         self.ens.borrow_mut().policy_disagreement(obs)
     }
-
-    fn reset(&mut self) {
-        self.ens.borrow_mut().invalidate();
-    }
 }
 
 /// U_V — value-ensemble distance-to-mean (§3.1). Costs one stacked
@@ -557,10 +563,6 @@ impl UncertaintySignal<[f32]> for ValueDisagreement {
 
     fn observe(&mut self, obs: &[f32]) -> f32 {
         self.ens.borrow_mut().value_disagreement(obs)
-    }
-
-    fn reset(&mut self) {
-        self.ens.borrow_mut().invalidate();
     }
 }
 
@@ -620,13 +622,24 @@ mod tests {
     }
 
     #[test]
-    fn act_consumes_the_cached_forward() {
-        let mut ens = PensieveEnsemble::from_agents(&agents(5)).unwrap();
-        let o = obs(7);
-        ens.policy_disagreement(&o);
-        let cached = ens.act(&o);
-        let fresh = ens.act(&o);
-        assert_eq!(cached, fresh);
+    fn act_reuses_a_cached_forward_only_for_its_own_observation() {
+        let reps = agents(5);
+        let fresh_act = |o: &[f32]| PensieveEnsemble::from_agents(&reps).unwrap().act(o);
+        let a = obs(7);
+        let want_a = fresh_act(&a);
+        let b = (8..200)
+            .map(obs)
+            .find(|b| fresh_act(b) != want_a)
+            .expect("an observation the ensemble acts on differently");
+        let mut ens = PensieveEnsemble::from_agents(&reps).unwrap();
+        // A U_π forward left over from `a` (another decision, or the
+        // previous session) must not answer the act on `b`...
+        ens.policy_disagreement(&a);
+        assert_eq!(ens.act(&b), fresh_act(&b));
+        // ...while the decision that observed `b` reuses its own.
+        ens.policy_disagreement(&b);
+        assert_eq!(ens.act(&b), fresh_act(&b));
+        assert_eq!(ens.act(&a), want_a);
     }
 
     #[test]

@@ -242,7 +242,6 @@ mod tests {
         fn observe(&mut self, _obs: &[f32]) -> f32 {
             0.0
         }
-        fn reset(&mut self) {}
     }
 
     fn trace() -> Trace {

@@ -5,7 +5,8 @@
 //!
 //! - [`signal`] — the [`UncertaintySignal`] trait, generic over the
 //!   observation type, plus U_S ([`NoveltySignal`], novelty detection
-//!   via [`osa_ocsvm`]);
+//!   via [`osa_ocsvm`]) and its one fit pipeline ([`novelty_corpus`],
+//!   [`fit_novelty`]);
 //! - [`ensemble`] — the stacked Pensieve replica ensemble (i = 5,
 //!   top-2 outliers discarded) with U_π ([`PolicyDisagreement`],
 //!   KL-to-mean) and U_V ([`ValueDisagreement`], value
@@ -60,7 +61,7 @@ pub use safe_agent::{
     BUFFER_COL,
 };
 pub use serve::{FleetEngine, FleetSignal, FleetTelemetry, ServeConfig};
-pub use signal::{NoveltySignal, NullSignal, UncertaintySignal};
+pub use signal::{fit_novelty, novelty_corpus, NoveltySignal, NullSignal, UncertaintySignal};
 
 /// Ensemble size the paper uses for U_π and U_V (§3.1).
 pub const ENSEMBLE_SIZE: usize = 5;
@@ -88,7 +89,9 @@ pub mod prelude {
         BUFFER_COL,
     };
     pub use crate::serve::{FleetEngine, FleetSignal, FleetTelemetry, ServeConfig};
-    pub use crate::signal::{NoveltySignal, NullSignal, UncertaintySignal};
+    pub use crate::signal::{
+        fit_novelty, novelty_corpus, NoveltySignal, NullSignal, UncertaintySignal,
+    };
     pub use crate::{DEFAULT_L, ENSEMBLE_KEEP, ENSEMBLE_SIZE};
 }
 

@@ -58,14 +58,6 @@ impl SafetyPolicy<[f32]> for EnsemblePolicy {
     fn decide(&mut self, obs: &[f32]) -> usize {
         self.ens.borrow_mut().act(obs)
     }
-
-    /// Drop any cached actor forward: the cache records `fresh`, not
-    /// *which* observation produced it, so a forward left over from a
-    /// previous session must never satisfy the next session's first
-    /// `act`.
-    fn reset(&mut self) {
-        self.ens.borrow_mut().invalidate();
-    }
 }
 
 /// The safe side for ABR: Buffer-Based, reading the buffer level off
@@ -252,7 +244,6 @@ mod tests {
         fn observe(&mut self, obs: &[f32]) -> f32 {
             obs[self.0]
         }
-        fn reset(&mut self) {}
     }
 
     #[test]
@@ -352,7 +343,6 @@ mod tests {
         fn observe(&mut self, obs: &Room) -> f32 {
             obs.temp_c
         }
-        fn reset(&mut self) {}
     }
 
     /// Learned side: heat in proportion to the cold.

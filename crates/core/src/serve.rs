@@ -44,9 +44,9 @@
 //! consecutive in-threshold variances, with a re-trip lock against
 //! oscillation. Off by default — the paper's sticky behavior.
 
-use osa_abr::sim::{AbrConfig, MultiSession};
+use osa_abr::sim::{newest_tput_mbps, AbrConfig, MultiSession};
 use osa_abr::video::VideoModel;
-use osa_abr::{HISTORY_LEN, OBS_DIM};
+use osa_abr::OBS_DIM;
 use osa_nn::tensor::Tensor;
 use osa_ocsvm::detector::NoveltyDetector;
 use osa_ocsvm::features::{FeatureWindow, FEATURE_DIM};
@@ -514,8 +514,7 @@ fn decide_shard(
                 if !monitors.observing(i) {
                     continue;
                 }
-                let tput = scratch.x.get(s_i, HISTORY_LEN - 1) * 10.0;
-                slot.fw.push(tput);
+                slot.fw.push(newest_tput_mbps(scratch.x.row(s_i)));
                 if slot.fw.ready() {
                     slot.fw.write(&mut scratch.feat);
                     scratch.feats.push_row(&scratch.feat);

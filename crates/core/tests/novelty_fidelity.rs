@@ -21,9 +21,7 @@
 //! documented reason.
 
 use osa_abr::prelude::*;
-use osa_abr::HISTORY_LEN;
 use osa_core::prelude::*;
-use osa_nn::tensor::Tensor;
 use osa_ocsvm::prelude::*;
 use osa_trace::prelude::*;
 
@@ -44,45 +42,6 @@ fn load_ensemble(text: &str) -> PensieveEnsemble {
     PensieveEnsemble::from_json(text).expect("artifact parses")
 }
 
-/// Collects the raw Mbit/s rates the U_S feature pipeline consumes
-/// (mirrors the corpus collection in `osa-bench`).
-struct RateCollector {
-    rates: Vec<f32>,
-}
-
-impl UncertaintySignal<[f32]> for RateCollector {
-    fn name(&self) -> &'static str {
-        "collect"
-    }
-    fn observe(&mut self, obs: &[f32]) -> f32 {
-        self.rates.push(obs[HISTORY_LEN - 1] * 10.0);
-        0.0
-    }
-    fn reset(&mut self) {}
-}
-
-/// Fit the U_S one-class SVM on rates the learned policy actually sees
-/// on a few training traces — in-distribution by construction.
-fn fitted_svm(text: &str, video: &VideoModel, cfg: &AbrConfig, train: &[Trace]) -> OcSvm {
-    let ens = shared(load_ensemble(text));
-    let mut collector = abr_safe_agent(
-        ens.clone(),
-        RateCollector { rates: Vec::new() },
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    for t in train {
-        run_session(&mut collector, video, cfg, t);
-    }
-    let windows = window_features(&collector.signal().rates);
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
-    let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
-    svm
-}
-
 fn us_agent(text: &str, svm: OcSvm, alpha: f32) -> AbrSafeAgent<NoveltySignal<OcSvm>> {
     let ens = shared(load_ensemble(text));
     abr_safe_agent(
@@ -98,7 +57,9 @@ fn batched_us_keeps_fig1_quiet_and_fig2_tripping_with_fleet_parity() {
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
     let split = Split::generate(Dataset::Norway, 60, 400, 2020);
-    let svm = fitted_svm(&text, &video, &cfg, &split.train[..4]);
+    // The figures' U_S fit pipeline on a few training traces.
+    let ens = shared(load_ensemble(&text));
+    let svm = fit_novelty(&novelty_corpus(&ens, &video, &cfg, &split.train[..4]));
 
     let mut agent = us_agent(&text, svm.clone(), f32::INFINITY);
     let cal = calibrate(

@@ -16,7 +16,6 @@ use osa_abr::prelude::*;
 use osa_core::prelude::*;
 use osa_core::serve::FleetMonitors;
 use osa_nn::rng::Rng;
-use osa_nn::tensor::Tensor;
 use osa_ocsvm::prelude::*;
 use osa_runtime::{with_pool, ThreadPool};
 use osa_trace::prelude::*;
@@ -49,14 +48,7 @@ fn mixed_traces() -> Vec<Trace> {
 fn fitted_svm() -> OcSvm {
     let mut rng = Rng::seed_from_u64(41);
     let rates: Vec<f32> = (0..160).map(|_| 1.0 + rng.next_f32() * 3.0).collect();
-    let windows = window_features(&rates);
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
-    let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
-    svm
+    fit_novelty(&window_features(&rates))
 }
 
 /// Everything a session pair must agree on, in bits.

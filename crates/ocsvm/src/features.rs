@@ -12,6 +12,8 @@
 //! sample first), independent of the ring buffer's phase, so the same
 //! throughput history always produces bit-identical features.
 
+use osa_nn::tensor::Tensor;
+
 /// Number of recent throughput samples summarized into one (mean, std)
 /// pair (§3.1).
 pub const FEATURE_WINDOW: usize = 10;
@@ -108,17 +110,17 @@ impl FeatureWindow {
 }
 
 /// Slide a [`FeatureWindow`] over one throughput series and collect every
-/// ready feature vector (rows of length [`FEATURE_DIM`]) — the batch
-/// path used to build detector training sets from trace corpora.
-pub fn window_features(rates: &[f32]) -> Vec<[f32; FEATURE_DIM]> {
+/// ready feature vector as one row of a `_ × FEATURE_DIM` matrix — the
+/// batch path that builds detector training sets from trace corpora.
+pub fn window_features(rates: &[f32]) -> Tensor {
     let mut w = FeatureWindow::new();
-    let mut out = Vec::new();
+    let mut out = Tensor::zeros(0, FEATURE_DIM);
+    let mut row = [0.0f32; FEATURE_DIM];
     for &r in rates {
         w.push(r);
         if w.ready() {
-            let mut row = [0.0f32; FEATURE_DIM];
             w.write(&mut row);
-            out.push(row);
+            out.push_row(&row);
         }
     }
     out
@@ -142,8 +144,9 @@ mod tests {
     #[test]
     fn constant_input_gives_zero_std() {
         let rows = window_features(&[2.5; 30]);
-        assert_eq!(rows.len(), 30 - (FEATURE_WINDOW + FEATURE_PAIRS - 1) + 1);
-        for row in rows {
+        assert_eq!(rows.rows(), 30 - (FEATURE_WINDOW + FEATURE_PAIRS - 1) + 1);
+        for r in 0..rows.rows() {
+            let row = rows.row(r);
             for i in 0..FEATURE_PAIRS {
                 assert_eq!(row[2 * i], 2.5);
                 assert_eq!(row[2 * i + 1], 0.0);

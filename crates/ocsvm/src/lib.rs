@@ -8,8 +8,8 @@
 //! - [`kernel`] — the RBF kernel;
 //! - [`features`] — the §3.1 feature pipeline: mean/std of the 10 most
 //!   recent throughput samples, windows of the k latest pairs;
-//! - [`detector`] — the [`NoveltyDetector`] trait with [`OcSvm`] plus the
-//!   [`KnnDetector`] / [`MahalanobisDetector`] ablations.
+//! - [`detector`] — the [`NoveltyDetector`] trait and its [`OcSvm`]
+//!   implementation with batched scoring.
 //!
 //! Invariants (property-tested in `tests/properties.rs`): ν upper-bounds
 //! the training outlier fraction and lower-bounds the support-vector
@@ -23,18 +23,14 @@ pub mod features;
 pub mod kernel;
 pub mod smo;
 
-pub use detector::{
-    FitDiag, KnnDetector, MahalanobisDetector, NoveltyDetector, OcSvm, OcSvmConfig,
-};
+pub use detector::{FitDiag, NoveltyDetector, OcSvm, OcSvmConfig};
 pub use features::{window_features, FeatureWindow, FEATURE_DIM, FEATURE_PAIRS, FEATURE_WINDOW};
 pub use kernel::{dot8, exp_fast, rbf, sq_norm};
 pub use smo::{solve_one_class, SmoConfig, SmoResult};
 
 /// One-stop import for downstream crates, examples, and tests.
 pub mod prelude {
-    pub use crate::detector::{
-        FitDiag, KnnDetector, MahalanobisDetector, NoveltyDetector, OcSvm, OcSvmConfig,
-    };
+    pub use crate::detector::{FitDiag, NoveltyDetector, OcSvm, OcSvmConfig};
     pub use crate::features::{
         window_features, FeatureWindow, FEATURE_DIM, FEATURE_PAIRS, FEATURE_WINDOW,
     };

@@ -176,11 +176,7 @@ fn scores_separate_training_mass_from_far_points() {
     // strictly higher than the training median.
     let mut rng = Rng::seed_from_u64(2020);
     let calm: Vec<f32> = (0..400).map(|_| 3.0 + rng.range_f32(-0.5, 0.5)).collect();
-    let rows = window_features(&calm);
-    let mut x = Tensor::zeros(rows.len(), FEATURE_DIM);
-    for (i, row) in rows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(row);
-    }
+    let x = window_features(&calm);
     let mut det = OcSvm::new(OcSvmConfig::default());
     det.fit(&x);
 
@@ -189,7 +185,11 @@ fn scores_separate_training_mass_from_far_points() {
     let median = calm_scores[calm_scores.len() / 2];
 
     let wild: Vec<f32> = (0..60).map(|_| 0.2 + rng.range_f32(-0.15, 0.15)).collect();
-    for row in window_features(&wild) {
-        assert!(det.score(&row) > median, "shifted window not flagged");
+    let wild = window_features(&wild);
+    for i in 0..wild.rows() {
+        assert!(
+            det.score(wild.row(i)) > median,
+            "shifted window not flagged"
+        );
     }
 }

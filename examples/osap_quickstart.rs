@@ -16,31 +16,12 @@
 
 use osa::abr::prelude::*;
 use osa::core::prelude::*;
-use osa::nn::tensor::Tensor;
-use osa::ocsvm::prelude::*;
 use osa::trace::prelude::*;
 
 /// Corpus contract shared with `examples/osap_ensemble_train.rs`.
 const CORPUS_COUNT: usize = 60;
 const CORPUS_LEN: usize = 400;
 const CORPUS_SEED: u64 = 2020;
-
-/// Throughput-history taps for the U_S feature pipeline: the newest
-/// column of the Pensieve observation, rescaled back to Mbit/s.
-struct RateCollector {
-    rates: Vec<f32>,
-}
-
-impl UncertaintySignal<[f32]> for RateCollector {
-    fn name(&self) -> &'static str {
-        "rate-collector"
-    }
-    fn observe(&mut self, obs: &[f32]) -> f32 {
-        self.rates.push(obs[HISTORY_LEN - 1] * 10.0);
-        0.0
-    }
-    fn reset(&mut self) {}
-}
 
 fn trip_report(name: &str, quiet: Option<usize>, shifted: Option<usize>) -> String {
     let fmt = |s: Option<usize>| match s {
@@ -66,28 +47,14 @@ fn run_once() -> Vec<String> {
     let ens = shared(PensieveEnsemble::from_json(&text).expect("valid ensemble artifact"));
     let mut lines = Vec::new();
 
-    // U_S feature corpus: raw throughput rates harvested from
+    // U_S feature corpus: throughput windows harvested from
     // in-distribution sessions driven by the ensemble-mean policy.
-    let mut collector = abr_safe_agent(
-        ens.clone(),
-        RateCollector { rates: Vec::new() },
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let mut windows: Vec<[f32; FEATURE_DIM]> = Vec::new();
-    for t in &split.train[..16] {
-        run_session(&mut collector, &video, &cfg, t);
-        windows.extend(window_features(&collector.signal().rates));
-    }
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
-    let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
+    let corpus = novelty_corpus(&ens, &video, &cfg, &split.train);
+    let svm = fit_novelty(&corpus);
     let diag = svm.diag().expect("fitted");
     lines.push(format!(
         "U_S one-class SVM: {} windows, {} support vectors, KKT gap {:.3e}",
-        windows.len(),
+        corpus.rows(),
         diag.support_vectors,
         diag.kkt_gap
     ));

@@ -23,8 +23,6 @@
 use osa::abr::prelude::*;
 use osa::core::prelude::*;
 use osa::core::serve::FleetEngine;
-use osa::nn::tensor::Tensor;
-use osa::ocsvm::prelude::*;
 use osa::trace::prelude::*;
 
 /// Corpus contract shared with `examples/osap_ensemble_train.rs`.
@@ -34,23 +32,6 @@ const CORPUS_SEED: u64 = 2020;
 
 const SESSIONS: usize = 48;
 
-/// Throughput-history taps for the U_S feature pipeline: the newest
-/// column of the Pensieve observation, rescaled back to Mbit/s.
-struct RateCollector {
-    rates: Vec<f32>,
-}
-
-impl UncertaintySignal<[f32]> for RateCollector {
-    fn name(&self) -> &'static str {
-        "rate-collector"
-    }
-    fn observe(&mut self, obs: &[f32]) -> f32 {
-        self.rates.push(obs[HISTORY_LEN - 1] * 10.0);
-        0.0
-    }
-    fn reset(&mut self) {}
-}
-
 fn load_ensemble() -> PensieveEnsemble {
     let text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -58,28 +39,6 @@ fn load_ensemble() -> PensieveEnsemble {
     ))
     .expect("run `cargo run --release --example osap_ensemble_train` first");
     PensieveEnsemble::from_json(&text).expect("valid ensemble artifact")
-}
-
-/// Fit the U_S one-class SVM on throughput windows harvested from
-/// in-distribution sessions driven by the ensemble-mean policy.
-fn fit_svm(ens: &SharedEnsemble, video: &VideoModel, cfg: &AbrConfig, train: &[Trace]) -> OcSvm {
-    let mut collector = abr_safe_agent(
-        ens.clone(),
-        RateCollector { rates: Vec::new() },
-        Monitor::new(DEFAULT_K, f32::INFINITY, DEFAULT_L),
-    );
-    let mut windows: Vec<[f32; FEATURE_DIM]> = Vec::new();
-    for t in &train[..16] {
-        run_session(&mut collector, video, cfg, t);
-        windows.extend(window_features(&collector.signal().rates));
-    }
-    let mut x = Tensor::zeros(windows.len(), FEATURE_DIM);
-    for (i, w) in windows.iter().enumerate() {
-        x.row_mut(i).copy_from_slice(w);
-    }
-    let mut svm = OcSvm::new(OcSvmConfig::default());
-    svm.fit(&x);
-    svm
 }
 
 /// Six held-out Norway links plus two with a transient outage spliced
@@ -102,7 +61,7 @@ fn run_once() -> Vec<String> {
     let video = VideoModel::envivio();
     let cfg = AbrConfig::default();
     let ens = shared(load_ensemble());
-    let svm = fit_svm(&ens, &video, &cfg, &split.train);
+    let svm = fit_novelty(&novelty_corpus(&ens, &video, &cfg, &split.train));
 
     // Two-pass calibration: unanchored for the in-distribution score
     // mean μ₀, anchored there for α (see `benches/serve.rs`).

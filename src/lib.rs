@@ -14,7 +14,7 @@
 //! | [`trace`] | `osa-trace` | implemented: six throughput datasets (Markov-modulated mobile-like + 4 i.i.d. samplers), deterministic splits, fault injection, JSON caching; pooled corpus generation |
 //! | [`abr`] | `osa-abr` | implemented: multi-session chunk-level streaming engine (trace-driven link, 80 ms RTT, EnvivioDash3-style video, §3.1 linear QoE), batched pool-parallel `step_all` bit-identical at any worker count, BB/Random baselines, `AbrEnv` adapter |
 //! | [`pensieve`] | `osa-pensieve` | implemented: branched Conv1d actor-critic over the ABR state encoding, A2C training, batched greedy inference, bit-exact JSON persistence (`artifacts/pensieve_norway.json`) |
-//! | [`ocsvm`] | `osa-ocsvm` | implemented: Schölkopf ν-one-class SVM (RBF kernel, SMO solver), §3.1 throughput-window feature pipeline, kNN/Mahalanobis ablation detectors behind `NoveltyDetector` |
+//! | [`ocsvm`] | `osa-ocsvm` | implemented: Schölkopf ν-one-class SVM (RBF kernel, SMO solver), §3.1 throughput-window feature pipeline, batched scoring behind `NoveltyDetector` |
 //! | [`core`] | `osa-core` | implemented: U_S/U_π/U_V uncertainty signals, stacked 5-replica ensemble, k-window/l-consecutive monitor, (α, l) calibration, `SafeAgent`, normalized scoring |
 #![forbid(unsafe_code)]
 
@@ -125,7 +125,6 @@ mod tests {
             fn observe(&mut self, obs: &[f32]) -> f32 {
                 obs[0]
             }
-            fn reset(&mut self) {}
         }
         struct Level(usize);
         impl SafetyPolicy<[f32]> for Level {

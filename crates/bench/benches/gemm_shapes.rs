@@ -14,7 +14,8 @@
 //!
 //! Shapes: the paper-scale merge layer at batch 1 and 32, the 5-replica
 //! stacked layers at serving batches, the committed-artifact widths the
-//! fleet engine serves, plus the backward-pass `tmatmul` / `matmul_t`
+//! fleet engine serves (including the narrow policy head and the U_S
+//! cross term), plus the backward-pass `tmatmul` / `matmul_t`
 //! orientations.
 
 use osa_bench::{counting_alloc::CountingAlloc, hardware_threads, run_bench};
@@ -59,6 +60,12 @@ const SHAPES: &[(Kernel, usize, usize, usize)] = &[
     // batch-1 merge and a 256-session shard through the branch layer.
     (Kernel::Matmul, 1, 136, 32),
     (Kernel::Matmul, 1280, 25, 136),
+    // Narrow-output serving shapes: the 6-wide policy head over a
+    // 256-session shard (all edge columns — narrower than one panel)
+    // and the U_S cross term of a fleet batch against 649 column-major
+    // support vectors (k = 10 features).
+    (Kernel::Matmul, 256, 32, 6),
+    (Kernel::Matmul, 187, 10, 649),
     // Backward orientations at the training batch.
     (Kernel::Tmatmul, 1792, 32, 128),
     (Kernel::MatmulT, 32, 128, 1792),

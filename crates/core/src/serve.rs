@@ -201,8 +201,11 @@ pub struct FleetTelemetry {
     /// `recovered_sessions / switched_sessions` (0 when nothing
     /// switched).
     pub recovery_rate: f64,
-    /// Mean first-trip decision index over switched sessions (−1 when
-    /// nothing switched; never NaN so reports stay JSON-clean).
+    /// Mean first-trip decision index over switched videos, counted
+    /// from each video's first decision (−1 when nothing switched;
+    /// never NaN so reports stay JSON-clean). Under `auto_reset` every
+    /// finished video that switched counts once, alongside the current
+    /// videos that have switched; without it a session is one video.
     pub mean_first_switch: f64,
 }
 
@@ -221,6 +224,14 @@ pub struct FleetEngine {
     shard: usize,
     auto_reset: bool,
     completed_seen: Vec<u64>,
+    /// Monitor decision count at the start of each session's current
+    /// video: its first-trip index is `tripped_at − video_start`.
+    video_start: Vec<usize>,
+    /// First-trip indices (summed) and count of the finished videos
+    /// that switched, harvested at each rollover before the monitor
+    /// reset clears `tripped_at`.
+    finished_first_switch_sum: u64,
+    finished_switched_videos: u64,
     rounds: u64,
 }
 
@@ -256,6 +267,9 @@ impl FleetEngine {
             shard: serve.shard.max(1),
             auto_reset: serve.auto_reset,
             completed_seen: vec![0; n],
+            video_start: vec![0; n],
+            finished_first_switch_sum: 0,
+            finished_switched_videos: 0,
             rounds: 0,
         }
     }
@@ -367,6 +381,11 @@ impl FleetEngine {
                 let c = self.sim.sessions_completed(i);
                 if c != self.completed_seen[i] {
                     self.completed_seen[i] = c;
+                    if let Some(t) = self.monitors.tripped_at(i) {
+                        self.finished_first_switch_sum += (t - self.video_start[i]) as u64;
+                        self.finished_switched_videos += 1;
+                    }
+                    self.video_start[i] = self.monitors.decisions(i);
                     self.monitors.reset_session(i);
                     self.slots[i].reset_signal();
                 }
@@ -402,7 +421,8 @@ impl FleetEngine {
         let mut locked = 0usize;
         let mut total_switches = 0u64;
         let mut total_recoveries = 0u64;
-        let mut first_switch_sum = 0.0f64;
+        let mut first_switch_sum = self.finished_first_switch_sum as f64;
+        let mut switched_videos = self.finished_switched_videos;
         let mut qoe: Vec<f64> = Vec::with_capacity(n);
         for i in 0..n {
             qoe_sum += self.sim.qoe_total(i);
@@ -423,7 +443,8 @@ impl FleetEngine {
                 locked += 1;
             }
             if let Some(t) = self.monitors.tripped_at(i) {
-                first_switch_sum += t as f64;
+                first_switch_sum += (t - self.video_start[i]) as f64;
+                switched_videos += 1;
             }
         }
         qoe.sort_unstable_by(f64::total_cmp);
@@ -458,8 +479,8 @@ impl FleetEngine {
             } else {
                 0.0
             },
-            mean_first_switch: if switched > 0 {
-                first_switch_sum / switched as f64
+            mean_first_switch: if switched_videos > 0 {
+                first_switch_sum / switched_videos as f64
             } else {
                 -1.0
             },

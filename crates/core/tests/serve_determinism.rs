@@ -314,6 +314,64 @@ fn fleet_telemetry_is_pool_invariant() {
     assert!(switched > 0, "the shifted links must trip some sessions");
 }
 
+/// Under `auto_reset` the rollover clears each monitor's `tripped_at`,
+/// so `mean_first_switch` must count the finished videos' first trips
+/// too. Every session here trips early in every video (α = 0) and all
+/// sessions roll over together (one video model), so right after a
+/// rollover no current video has switched yet: a mean over the current
+/// videos alone reads 0.0.
+#[test]
+fn mean_first_switch_counts_finished_videos_under_auto_reset() {
+    let text = artifact_text();
+    let video = VideoModel::envivio();
+    let chunks = video.chunk_count();
+    let traces = mixed_traces();
+    let n = traces.len();
+    let serve = ServeConfig {
+        alpha: 0.0,
+        shard: 4,
+        auto_reset: true,
+        ..ServeConfig::default()
+    };
+    let mut fleet = FleetEngine::new(
+        load_ensemble(&text),
+        FleetSignal::ValueDisagreement,
+        video,
+        AbrConfig::default(),
+        traces,
+        n,
+        &serve,
+    );
+    let mut first_trips: Vec<usize> = Vec::new();
+    for videos in 1..=2u64 {
+        let starts: Vec<usize> = (0..n).map(|i| fleet.monitors().decisions(i)).collect();
+        fleet.run(chunks - 1);
+        // Every session is on its video's last chunk: read the
+        // first-trip indices before the rollover clears them.
+        for (i, start) in starts.iter().enumerate() {
+            let t = fleet
+                .monitors()
+                .tripped_at(i)
+                .expect("α = 0 trips every video");
+            first_trips.push(t - start);
+        }
+        fleet.run(1);
+        for i in 0..n {
+            assert_eq!(fleet.sim().sessions_completed(i), videos);
+            assert_eq!(fleet.monitors().tripped_at(i), None, "rollover resets");
+        }
+        let want = first_trips.iter().sum::<usize>() as f64 / first_trips.len() as f64;
+        let t = fleet.telemetry();
+        assert!(want > 0.0);
+        assert_eq!(
+            t.mean_first_switch.to_bits(),
+            want.to_bits(),
+            "after video {videos}: {} vs {want}",
+            t.mean_first_switch
+        );
+    }
+}
+
 #[test]
 fn fleet_monitor_hysteresis_properties_hold_on_random_streams() {
     // Drive SoA monitors with pseudo-random variance streams and check

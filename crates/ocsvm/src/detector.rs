@@ -11,9 +11,17 @@
 //! [`OcSvm`] scoring is dominated by `Σᵢ αᵢ exp(-γ‖z(x) − svᵢ‖²)` over
 //! ~650 support vectors. The batched engine decomposes the distance,
 //! `‖z − svᵢ‖² = ‖z‖² + ‖svᵢ‖² − 2·z·svᵢᵀ`, so the cross terms for a
-//! batch of `S` queries become ONE `S×d · (nsv×d)ᵀ` GEMM through the
+//! batch of `S` queries become ONE `S×d · d×nsv` GEMM through the
 //! `osa-nn` lane-group micro-kernels, followed by a fused
 //! exponential + α-weighted lane-8 reduction per row ([`crate::kernel`]).
+//!
+//! The support vectors are stored column-major (`d × nsv`, transposed
+//! once at fit), so the GEMM's right operand is row-major along the
+//! support-vector axis. With `d` = 10 the reduction is far too shallow
+//! to vectorize along `k`; the packed-panel kernel instead vectorizes
+//! across eight support vectors (output columns) at a time, with the
+//! `nsv mod 8` fringe in one zero-padded panel. Each cross term is
+//! still the same lane-8 dot, so the layout never moves a bit.
 //! Support-vector norms (`‖svᵢ‖²`) and the α·exp weights' inputs are
 //! precomputed at fit time; each query is standardized exactly once
 //! (the old scalar loop re-divided by the per-dimension std for every
@@ -148,8 +156,10 @@ pub struct OcSvm {
     cfg: OcSvmConfig,
     std: Standardizer,
     gamma: f32,
-    /// Standardized support vectors, one per row.
-    svs: Tensor,
+    /// Standardized support vectors, one per *column* (`d × nsv`): the
+    /// right operand of the cross-term GEMM, laid out so its kernel
+    /// vectorizes across support vectors.
+    svs_t: Tensor,
     /// Dual coefficient of each support vector (f32 is plenty for the
     /// score sum; the solver works in f64).
     sv_alphas: Vec<f32>,
@@ -180,7 +190,7 @@ impl OcSvm {
             cfg,
             std: Standardizer::default(),
             gamma: 0.0,
-            svs: Tensor::zeros(0, 0),
+            svs_t: Tensor::zeros(0, 0),
             sv_alphas: Vec::new(),
             sv_norms: Vec::new(),
             rho: 0.0,
@@ -210,7 +220,7 @@ impl OcSvm {
     }
 
     /// Kernel expansions `Σᵢ αᵢ K(z(xⱼ), svᵢ)` for every row of `x` in
-    /// one pass: standardize the batch, one `S×d · (nsv×d)ᵀ` GEMM for
+    /// one pass: standardize the batch, one `S×d · d×nsv` GEMM for
     /// the cross terms, then the fused exp + α-weighted reduction per
     /// row. This is the canonical evaluation — the scalar accessors
     /// ([`OcSvm::decision`], [`OcSvm::raw_score`],
@@ -228,12 +238,12 @@ impl OcSvm {
         }
         let (mut z, mut cross) = SCORE_ARENA.with(|w| {
             let mut w = w.borrow_mut();
-            (w.take(s, x.cols()), w.take(s, self.svs.rows()))
+            (w.take(s, x.cols()), w.take(s, self.svs_t.cols()))
         });
         for i in 0..s {
             self.std.apply_row_into(x.row(i), z.row_mut(i));
         }
-        z.matmul_t_into(&self.svs, &mut cross);
+        z.matmul_into(&self.svs_t, &mut cross);
         for (i, o) in out.iter_mut().enumerate() {
             *o = self.weighted_row(sq_norm(z.row(i)), cross.row(i));
         }
@@ -320,7 +330,7 @@ impl NoveltyDetector for OcSvm {
         }
         self.sv_alphas = sv_idx.iter().map(|&i| r.alphas[i] as f32).collect();
         self.sv_norms = (0..sv_idx.len()).map(|s| sq_norm(svs.row(s))).collect();
-        self.svs = svs;
+        self.svs_t = svs.transpose();
         self.rho = r.rho as f32;
         self.ln_rho = self.rho.max(LOG_FLOOR).ln();
         self.diag = Some(FitDiag {
